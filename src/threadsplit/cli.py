@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset a variable in the store (repeatable)")
     p.add_argument("--trace-out", help="write the execution trace as JSON")
     p.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET,
-                   help=f"micro-step budget (default {DEFAULT_STEP_BUDGET})")
+                   help="executed blocks (seq, conc) or micro-steps (sched) before "
+                        f"giving up (default {DEFAULT_STEP_BUDGET})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="differential verification sweep")

@@ -148,6 +148,7 @@ def validate(cfg: Cfg) -> list[str]:
         return ["cfg has no blocks"]
 
     labels: dict[str, int] = {}
+    good_names: set[str] = set()
     for i, blk in enumerate(cfg.blocks):
         if blk.id != i:
             errors.append(f"block at index {i} has id {blk.id} (ids must be dense)")
@@ -157,7 +158,7 @@ def validate(cfg: Cfg) -> list[str]:
             errors.append(f"duplicate label {blk.label!r} (blocks {labels[blk.label]} and {i})")
         else:
             labels[blk.label] = i
-        errors.extend(_check_instrs(blk))
+        errors.extend(_check_instrs(blk, good_names))
 
     if not 0 <= cfg.entry < n:
         errors.append(f"entry id {cfg.entry} out of range")
@@ -188,25 +189,31 @@ def validate(cfg: Cfg) -> list[str]:
     return errors
 
 
-def _check_instrs(blk: BasicBlock) -> list[str]:
+def _check_instrs(blk: BasicBlock, good_names: set[str]) -> list[str]:
+    """`good_names` holds the names already found valid in this cfg, so
+    each distinct name is matched once."""
     errors = []
     for instr in blk.instrs:
         if isinstance(instr, ConstAssign):
-            if not is_var_name(instr.dest):
-                errors.append(f"block {blk.id}: invalid variable name {instr.dest!r}")
-            if not INT_MIN <= instr.value <= INT_MAX:
-                errors.append(f"block {blk.id}: constant {instr.value} outside 64-bit range")
+            names = (instr.dest,)
         elif isinstance(instr, BinOp):
-            for name in (instr.dest, instr.lhs, instr.rhs):
-                if not is_var_name(name):
-                    errors.append(f"block {blk.id}: invalid variable name {name!r}")
-            if instr.op not in BINARY_OPS:
-                errors.append(f"block {blk.id}: unknown operator {instr.op!r}")
+            names = (instr.dest, instr.lhs, instr.rhs)
         elif isinstance(instr, Print):
-            if not is_var_name(instr.src):
-                errors.append(f"block {blk.id}: invalid variable name {instr.src!r}")
+            names = (instr.src,)
         else:
             errors.append(f"block {blk.id}: unknown instruction {instr!r}")
+            continue
+        for name in names:
+            if name not in good_names:
+                if is_var_name(name):
+                    good_names.add(name)
+                else:
+                    errors.append(f"block {blk.id}: invalid variable name {name!r}")
+        if isinstance(instr, ConstAssign):
+            if not INT_MIN <= instr.value <= INT_MAX:
+                errors.append(f"block {blk.id}: constant {instr.value} outside 64-bit range")
+        elif isinstance(instr, BinOp) and instr.op not in BINARY_OPS:
+            errors.append(f"block {blk.id}: unknown operator {instr.op!r}")
     return errors
 
 

@@ -14,11 +14,22 @@ reachable from b along paths whose intermediate blocks all lie outside
 the partition: the first blocks of this thread that can possibly run
 next. Thread entry nodes wait on the analogous set computed from the
 program entry.
+
+All of a thread's wait sets come from one pass (`wait_set_query`): an
+iterative Tarjan walk over the blocks outside the partition gives each
+of them `reach`, the in-partition blocks it reaches first. Blocks of one
+strongly connected component share their reach, and Tarjan closes a
+component only after every component it leads to, so each reach is one
+union over finished successors. A block's wait set is then the union,
+over its successors s, of {s} when s is in the partition and reach[s]
+otherwise; the entry wait applies the same rule to a virtual pre-entry
+node whose sole successor is the program entry.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from . import ir, rng
@@ -128,48 +139,98 @@ def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:
     return Partition(m=m, assign={b: r.below(m) for b in range(cfg.n)}, seed=seed)
 
 
+def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], frozenset[int]]:
+    """One pass over the blocks outside `bbset` (see the module
+    docstring). Returns a query mapping the successors of a block, or
+    the targets of any virtual node, to the blocks of `bbset` reached
+    first from it: a target in `bbset` is itself, any other target
+    contributes its reach. `succs` is indexed by block id, as from
+    ir.successor_map."""
+    n = len(succs)
+    num = [0] * n  # DFS discovery number; 0 while unvisited
+    low = [0] * n
+    reach: list = [None] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if num[root] or root in bbset:
+            continue
+        counter += 1
+        num[root] = low[root] = counter
+        reach[root] = set()
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succs[root]))]
+        while work:
+            v, edges = work[-1]
+            rv = reach[v]
+            for w in edges:
+                if w in bbset:
+                    rv.add(w)
+                elif not num[w]:
+                    counter += 1
+                    num[w] = low[w] = counter
+                    reach[w] = set()
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succs[w])))
+                    break
+                elif on_stack[w]:
+                    if num[w] < low[v]:
+                        low[v] = num[w]
+                else:  # w's component is closed, so its reach is final
+                    rv |= reach[w]
+            else:
+                work.pop()
+                if low[v] == num[v]:
+                    # Close v's component: its members share one reach.
+                    x = stack.pop()
+                    on_stack[x] = False
+                    while x != v:
+                        rv |= reach[x]
+                        reach[x] = rv
+                        x = stack.pop()
+                        on_stack[x] = False
+                if work:
+                    u = work[-1][0]
+                    if on_stack[v]:
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                    else:
+                        reach[u] |= rv
+
+    def first_in_set(targets: Iterable[int]) -> frozenset[int]:
+        found: set[int] = set()
+        for s in targets:
+            if s in bbset:
+                found.add(s)
+            else:
+                found |= reach[s]
+        return frozenset(found)
+
+    return first_in_set
+
+
 def get_immediate_successors(bcur: int, bbset, cfg: Cfg, succs=None) -> set[int]:
     """Blocks of `bbset` reachable from `bcur` along paths whose
-    intermediate blocks all lie outside `bbset`.
-
-    Frontier-set worklist: repeatedly take the successors I of the
-    current frontier, bank I's in-set part, and keep only the
-    not-yet-seen out-of-set part as the next frontier. `seenBefore`
-    caps the frontier, so this terminates on cyclic graphs too.
-
-    `bcur` itself need not belong to `bbset`. `succs` may carry a
-    precomputed ir.successor_map(cfg) to amortize repeated calls.
-    """
+    intermediate blocks all lie outside `bbset`. `bcur` itself need not
+    belong to `bbset`. `succs` may carry a precomputed
+    ir.successor_map(cfg)."""
     if not 0 <= bcur < cfg.n:
         raise ValueError(f"no block with id {bcur!r} in cfg {cfg.name!r}")
     if succs is None:
         succs = ir.successor_map(cfg)
-    return _walk_frontier({bcur}, frozenset(bbset), succs)
-
-
-def _walk_frontier(bb: set[int], bbset: frozenset[int], succs) -> set[int]:
-    result: set[int] = set()
-    seen_before: set[int] = set()
-    while bb:
-        frontier: set[int] = set()
-        for x in bb:
-            frontier |= succs[x]
-        result |= frontier & bbset
-        may_next = frontier - bbset
-        bb = may_next - seen_before
-        seen_before |= may_next
-    return result
+    return set(wait_set_query(succs, frozenset(bbset))(succs[bcur]))
 
 
 def initial_wait_set(bbset, cfg: Cfg, succs=None) -> set[int]:
     """First in-set blocks reachable from the program entry (the entry
     itself if owned): what a thread must wait on before anything of its
-    partition has run. Computed as the successor walk applied to a
-    virtual pre-entry node whose sole successor is cfg.entry."""
+    partition has run."""
     if succs is None:
         succs = ir.successor_map(cfg)
-    pre_entry = len(succs)
-    return _walk_frontier({pre_entry}, frozenset(bbset), list(succs) + [{cfg.entry}])
+    return set(wait_set_query(succs, frozenset(bbset))((cfg.entry,)))
 
 
 def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> ThreadCfg:
@@ -178,11 +239,9 @@ def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> Thre
     if succs is None:
         succs = ir.successor_map(cfg)
     owned = partition.owned(t)
-    entry_wait = WaitSet(frozenset(initial_wait_set(owned, cfg, succs)))
-    per_block = {
-        b: WaitSet(frozenset(get_immediate_successors(b, owned, cfg, succs)))
-        for b in sorted(owned)
-    }
+    first_owned = wait_set_query(succs, owned)
+    entry_wait = WaitSet(first_owned((cfg.entry,)))
+    per_block = {b: WaitSet(first_owned(succs[b])) for b in sorted(owned)}
     return ThreadCfg(t, owned, entry_wait, per_block)
 
 
@@ -224,8 +283,18 @@ def check_bijection(prog: ObfuscatedProgram) -> list[str]:
     return errors
 
 
+def _thread_doc(tcfg: ThreadCfg) -> dict:
+    return {
+        "owned": sorted(tcfg.owned_blocks),
+        "entry_wait": list(tcfg.entry_wait.sorted_flags()),
+        "per_block_wait": {
+            str(b): list(ws.sorted_flags()) for b, ws in sorted(tcfg.per_block_wait.items())
+        },
+    }
+
+
 def program_to_json(prog: ObfuscatedProgram) -> str:
-    """Stable, human-readable serialization of an obfuscated program."""
+    """Stable, compact serialization of an obfuscated program."""
     doc = {
         "version": FORMAT_VERSION,
         "source_name": prog.source.name,
@@ -235,19 +304,24 @@ def program_to_json(prog: ObfuscatedProgram) -> str:
         "stride": prog.guard_layout.stride,
         "prng": rng.ALGORITHM,
         "assign": [prog.partition.assign[b] for b in range(prog.source.n)],
-        "threads": [
-            {
-                "owned": sorted(tcfg.owned_blocks),
-                "entry_wait": list(tcfg.entry_wait.sorted_flags()),
-                "per_block_wait": {
-                    str(b): list(ws.sorted_flags())
-                    for b, ws in sorted(tcfg.per_block_wait.items())
-                },
-            }
-            for tcfg in prog.threads
-        ],
+        "threads": [_thread_doc(tcfg) for tcfg in prog.threads],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _is_a(value, kind: type) -> bool:
+    # bool is an int subclass, but true/false is never a count or an id.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _field(doc: dict, key: str, kind: type):
+    if key not in doc:
+        raise ValueError(f"program file has no {key!r} field")
+    value = doc[key]
+    if not _is_a(value, kind):
+        raise ValueError(f"program file field {key!r} must be a {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
@@ -255,40 +329,42 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
 
     The stored assignment is authoritative (it may have been hand-tuned);
     wait sets are recomputed from it and cross-checked against the stored
-    ones so corruption or a cfg/file mismatch is detected.
+    ones so corruption or a cfg/file mismatch is detected. Any malformed
+    file raises ValueError.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"not a valid program file: {e}") from e
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a valid program file: top level is a {type(doc).__name__}")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported program file version {doc.get('version')!r}")
-    if doc["source_name"] != cfg.name:
-        raise ValueError(
-            f"program file is for function {doc['source_name']!r}, not {cfg.name!r}"
-        )
-    if doc["n"] != cfg.n:
-        raise ValueError(f"program file expects {doc['n']} blocks, cfg has {cfg.n}")
-    m = doc["m"]
-    assign = {b: int(t) for b, t in enumerate(doc["assign"])}
-    if len(assign) != cfg.n or any(not 0 <= t < m for t in assign.values()):
+    source_name = _field(doc, "source_name", str)
+    if source_name != cfg.name:
+        raise ValueError(f"program file is for function {source_name!r}, not {cfg.name!r}")
+    n = _field(doc, "n", int)
+    if n != cfg.n:
+        raise ValueError(f"program file expects {n} blocks, cfg has {cfg.n}")
+    m = _field(doc, "m", int)
+    if m < 1:
+        raise ValueError(f"program file has thread count {m}, expected >= 1")
+    assign = _field(doc, "assign", list)
+    if len(assign) != cfg.n or not all(_is_a(t, int) and 0 <= t < m for t in assign):
         raise ValueError("malformed block assignment")
+    seed = _field(doc, "seed", int)
+    stride = _field(doc, "stride", int)
+    stored_threads = _field(doc, "threads", list)
+    if len(stored_threads) != m:
+        raise ValueError(f"program file has {len(stored_threads)} threads, expected m={m}")
 
-    partition = Partition(m=m, assign=assign, seed=doc["seed"])
+    partition = Partition(m=m, assign=dict(enumerate(assign)), seed=seed)
     succs = ir.successor_map(cfg)
     threads = [build_thread_cfg(cfg, partition, t, succs) for t in range(m)]
-    for tcfg, stored in zip(threads, doc["threads"]):
-        rebuilt = {
-            "owned": sorted(tcfg.owned_blocks),
-            "entry_wait": list(tcfg.entry_wait.sorted_flags()),
-            "per_block_wait": {
-                str(b): list(ws.sorted_flags())
-                for b, ws in sorted(tcfg.per_block_wait.items())
-            },
-        }
-        if rebuilt != stored:
+    for tcfg, stored in zip(threads, stored_threads):
+        if _thread_doc(tcfg) != stored:
             raise ValueError(
                 f"thread {tcfg.thread_index} in program file does not match the "
                 f"given cfg (stale or edited file?)"
             )
-    return ObfuscatedProgram(cfg, partition, threads, GuardLayout(cfg.n, doc["stride"]))
+    return ObfuscatedProgram(cfg, partition, threads, GuardLayout(cfg.n, stride))

@@ -20,7 +20,9 @@ against the shared store, then raises the dynamic successor's flag
 set derived for that block. DONE is honored only when no waited data
 flag is up. Traps (division/modulo by zero) raise DONE so every worker
 terminates, and the trace reports status "trapped". A run that exhausts
-its step budget reports "deadlock".
+its step budget reports "deadlock". The budget counts executed blocks in
+`run_sequential` and `conc` mode, and micro-steps in scheduled mode; a
+`conc` worker also gives up after that many idle polls of its own.
 """
 
 from __future__ import annotations
@@ -308,8 +310,13 @@ def _run_concurrent(prog, inputs, step_budget: int) -> ExecutionTrace:
                     found = b
                     break
             if found >= 0:
-                cells[found * stride] = 0
                 step = state["step"]
+                # The budget counts executed blocks, as in run_sequential.
+                if step >= step_budget or abort.is_set():
+                    state["status"] = DEADLOCK
+                    abort.set()
+                    return
+                cells[found * stride] = 0
                 state["step"] = step + 1
                 records.append((step, t, found))
                 try:

@@ -14,23 +14,44 @@ Grammar (one function per file):
     INSTR ::= ID = NUM | ID = ID OP ID | print ID
     TERM  ::= jump LABEL | br ID, LABEL, LABEL | halt
 
+    ID    ::= a letter or `_`, then letters, digits or `_`
+    NUM   ::= an optional `-`, then decimal digits (64-bit signed range)
+    OP    ::= + - * / % < <= == !=
+
 `#` starts a line comment. Whitespace is insignificant except that
 statements inside a block are separated by newlines. Block ids are
 assigned in textual order starting at 0; the first block is the entry.
+
+One regular expression splits the text into plain string tokens, and a
+token's kind is read off its text. Line and column are worked out only
+for a ParseError, by scanning again up to the offending token. Errors
+found after parsing (unknown labels aside) come from ir.validate and
+are reported at 1:1.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from . import ir
-from .ir import BasicBlock, BinOp, Branch, Cfg, ConstAssign, Halt, Instr, Jump, Print
+from .ir import BasicBlock, BinOp, Branch, Cfg, ConstAssign, Instr, Jump, Print
 from .obfuscate import ThreadCfg
 
 KEYWORDS = {"func", "block", "print", "jump", "br", "halt"}
 
-_TWO_CHAR = ("<=", "==", "!=")
-_ONE_CHAR = "=+-*/%<,:{}"
+# One token per match, after skipping blanks and a comment. The last
+# alternatives never fail: `.` captures a stray character (checked in
+# `_check_chars`), and the empty match at the end of the text is the
+# end-of-input token "". A name starts with a letter (str.isalpha) or
+# `_` and goes on with `\w`; a number is made of `\d` digits, which int()
+# reads. `[^\W\d]` also admits digit signs like '²', which are stray.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:#[^\n]*)?([^\W\d]\w*|-?\d+|<=|==|!=|[=+\-*/%<,:{}\n]|.|\Z)"
+)
+_PUNCT = frozenset(("<=", "==", "!=", "\n", "")) | frozenset("=+-*/%<,:{}")
+_END_OF_STATEMENT = ("block", "}", "")
 
 
 @dataclass(frozen=True)
@@ -49,149 +70,124 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, num, newline, eof, or the punctuation text itself
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        span = SourceSpan(line, col)
-        if c == "\n":
-            tokens.append(_Token("newline", "\n", span))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            tokens.append(_Token(text[i : i + 2], text[i : i + 2], span))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(_Token(c, c, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", span)
-    tokens.append(_Token("eof", "", SourceSpan(line, col)))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """Parser state over the token strings. A token's kind is read
+    off its text: "" is the end of input, "\\n" the end of a line, a
+    keyword or punctuation stands for itself, and `idents` holds every
+    distinct name."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = toks = _TOKEN_RE.findall(text)
+        self.idents = self._check_chars(set(toks))
+        self.i = 0
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def _check_chars(self, distinct: set[str]) -> set[str]:
+        """Raise on the first stray character; return the names."""
+        idents, stray = set(), []
+        for tok in distinct:
+            if tok in _PUNCT:
+                continue
+            c = tok[0]
+            if c.isalpha() or c == "_":
+                if tok not in KEYWORDS:
+                    idents.add(tok)
+            elif not (c.isdecimal() or c == "-"):
+                # `.` caught it, or `\w` took a digit like '²' that int() rejects.
+                stray.append(tok)
+        if stray:
+            k = min(map(self.toks.index, stray))
+            self.fail(k, f"unexpected character {self.toks[k][0]!r}")
+        return idents
 
-    def skip_newlines(self) -> None:
-        while self.peek().kind == "newline":
-            self.next()
+    def span(self, k: int) -> SourceSpan:
+        """Line and column of token k, found by scanning up to it."""
+        for j, mo in enumerate(_TOKEN_RE.finditer(self.text)):
+            if j == k:
+                break
+        offset = mo.start(1)
+        return SourceSpan(self.text.count("\n", 0, offset) + 1,
+                          offset - self.text.rfind("\n", 0, offset))
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            want = what or f"'{kind}'"
-            raise ParseError(f"expected {want}, got {_describe(tok)}", tok.span)
-        return tok
+    def fail(self, k: int, message: str) -> NoReturn:
+        raise ParseError(message, self.span(k))
+
+    def skip_newlines(self) -> str:
+        toks, i = self.toks, self.i
+        while toks[i] == "\n":
+            i += 1
+        self.i = i
+        return toks[i]
+
+    def expect(self, want: str) -> None:
+        tok = self.toks[self.i]
+        if tok != want:
+            self.fail(self.i, f"expected '{want}', got {_describe(tok)}")
+        self.i += 1
+
+    def name(self, what: str) -> tuple[str, int]:
+        k = self.i
+        tok = self.toks[k]
+        if tok not in self.idents:
+            self.fail(k, f"expected {what}, got {_describe(tok)}")
+        self.i = k + 1
+        return tok, k
 
     def end_statement(self) -> None:
         # A statement ends at a newline, or just before `block` / `}`.
-        tok = self.peek()
-        if tok.kind == "newline":
-            self.next()
-        elif tok.kind not in ("block", "}", "eof"):
-            raise ParseError(f"expected end of statement, got {_describe(tok)}", tok.span)
+        tok = self.toks[self.i]
+        if tok == "\n":
+            self.i += 1
+        elif tok not in _END_OF_STATEMENT:
+            self.fail(self.i, f"expected end of statement, got {_describe(tok)}")
 
 
-def _describe(tok: _Token) -> str:
-    if tok.kind == "eof":
+def _describe(tok: str) -> str:
+    if tok == "":
         return "end of input"
-    if tok.kind == "newline":
+    if tok == "\n":
         return "end of line"
-    return f"'{tok.text}'"
+    return f"'{tok}'"
 
 
 def parse(text: str) -> Cfg:
     """Parse a program into a validated Cfg; raises ParseError on bad input."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     p.skip_newlines()
     p.expect("func")
-    name = p.expect("ident", "function name").text
+    name = p.name("function name")[0]
     p.expect("{")
-    p.skip_newlines()
 
     blocks: list[BasicBlock] = []
     labels: dict[str, int] = {}
-    # Terminator targets are labels until the whole function is read.
-    pending: list[tuple[BasicBlock, str | Branch, _Token, _Token | None]] = []
+    # Terminator targets are labels until the whole function is read:
+    # (block, branch condition or None for a jump, [(label, token index)]).
+    pending: list[tuple[BasicBlock, str | None, list[tuple[str, int]]]] = []
 
-    while p.peek().kind != "}":
-        tok = p.peek()
-        if tok.kind != "block":
-            raise ParseError(f"expected 'block' or '}}', got {_describe(tok)}", tok.span)
-        p.next()
-        label_tok = p.expect("ident", "block label")
-        if label_tok.text in labels:
-            raise ParseError(f"duplicate block label {label_tok.text!r}", label_tok.span)
+    while (tok := p.skip_newlines()) != "}":
+        if tok != "block":
+            p.fail(p.i, f"expected 'block' or '}}', got {_describe(tok)}")
+        p.i += 1
+        label, k = p.name("block label")
+        if label in labels:
+            p.fail(k, f"duplicate block label {label!r}")
         p.expect(":")
-        p.skip_newlines()
-        blk = BasicBlock(id=len(blocks), label=label_tok.text)
-        labels[blk.label] = blk.id
+        blk = BasicBlock(id=len(blocks), label=label)
+        labels[label] = blk.id
         _parse_statements(p, blk, pending)
         blocks.append(blk)
-        p.skip_newlines()
 
-    p.next()  # the closing brace
-    p.skip_newlines()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input after '}}': {_describe(tok)}", tok.span)
+    p.i += 1  # the closing brace
+    tok = p.skip_newlines()
+    if tok != "":
+        p.fail(p.i, f"trailing input after '}}': {_describe(tok)}")
 
-    for blk, term, tok1, tok2 in pending:
-        blk.term = _resolve(term, labels, tok1, tok2)
+    for blk, cond, targets in pending:
+        for label, k in targets:
+            if label not in labels:
+                p.fail(k, f"unknown block label {label!r}")
+        ids = [labels[label] for label, _ in targets]
+        blk.term = Jump(ids[0]) if cond is None else Branch(cond, *ids)
 
     cfg = Cfg(name=name, blocks=blocks)
     errors = ir.validate(cfg)
@@ -202,71 +198,59 @@ def parse(text: str) -> Cfg:
 
 def _parse_statements(p: _Parser, blk: BasicBlock, pending: list) -> None:
     """Parse `(INSTR NEWLINE)* TERM` into blk; targets resolved later."""
+    toks, idents, instrs = p.toks, p.idents, blk.instrs
     while True:
-        p.skip_newlines()
-        tok = p.peek()
-        if tok.kind in ("block", "}", "eof"):
-            raise ParseError(f"block {blk.label!r} has no terminator", tok.span)
-        if tok.kind == "halt":
-            p.next()
-            blk.term = Halt()
+        tok = p.skip_newlines()
+        i = p.i
+        if tok in idents:
+            # ID = NUM | ID = ID OP ID
+            if toks[i + 1] != "=":
+                p.fail(i + 1, f"expected '=', got {_describe(toks[i + 1])}")
+            rhs = toks[i + 2]
+            if rhs in idents:
+                op = toks[i + 3]
+                if op not in ir.BINARY_OPS:
+                    p.fail(i + 3, f"expected an operator, got {_describe(op)}")
+                p.i = i + 4
+                rhs2 = p.name("variable name")[0]
+                instrs.append(BinOp(tok, rhs, op, rhs2))
+            elif rhs and (rhs[0].isdecimal() or rhs[0] == "-" and len(rhs) > 1):
+                instrs.append(ConstAssign(tok, _int_literal(p, i + 2)))
+                p.i = i + 3
+            else:
+                p.fail(i + 2, f"expected a number or variable, got {_describe(rhs)}")
             p.end_statement()
-            return
-        if tok.kind == "jump":
-            p.next()
-            target = p.expect("ident", "target label")
-            pending.append((blk, target.text, target, None))
+            continue
+        if tok in _END_OF_STATEMENT:
+            p.fail(i, f"block {blk.label!r} has no terminator")
+        p.i = i + 1
+        if tok == "print":
+            instrs.append(Print(p.name("variable name")[0]))
             p.end_statement()
-            return
-        if tok.kind == "br":
-            p.next()
-            cond = p.expect("ident", "condition variable")
+            continue
+        if tok == "jump":
+            pending.append((blk, None, [p.name("target label")]))
+        elif tok == "br":
+            cond = p.name("condition variable")[0]
             p.expect(",")
-            t_tok = p.expect("ident", "target label")
+            iftrue = p.name("target label")
             p.expect(",")
-            f_tok = p.expect("ident", "target label")
-            pending.append((blk, Branch(cond.text, -1, -1), t_tok, f_tok))
-            p.end_statement()
-            return
-        blk.instrs.append(_parse_instr(p))
+            pending.append((blk, cond, [iftrue, p.name("target label")]))
+        elif tok != "halt":  # a halt block keeps its default Halt terminator
+            p.fail(i, f"expected a statement, got {_describe(tok)}")
         p.end_statement()
+        return
 
 
-def _parse_instr(p: _Parser) -> Instr:
-    tok = p.peek()
-    if tok.kind == "print":
-        p.next()
-        src = p.expect("ident", "variable name")
-        return Print(src.text)
-    if tok.kind != "ident":
-        raise ParseError(f"expected a statement, got {_describe(tok)}", tok.span)
-    dest = p.next()
-    p.expect("=")
-    rhs = p.next()
-    if rhs.kind == "num":
-        value = int(rhs.text)
-        if not ir.INT_MIN <= value <= ir.INT_MAX:
-            raise ParseError(f"integer literal {rhs.text} outside 64-bit signed range", rhs.span)
-        return ConstAssign(dest.text, value)
-    if rhs.kind == "ident":
-        op = p.next()
-        if op.kind not in ir.BINARY_OPS:
-            raise ParseError(f"expected an operator, got {_describe(op)}", op.span)
-        rhs2 = p.expect("ident", "variable name")
-        return BinOp(dest.text, rhs.text, op.kind, rhs2.text)
-    raise ParseError(f"expected a number or variable, got {_describe(rhs)}", rhs.span)
-
-
-def _resolve(term, labels: dict[str, int], tok1: _Token, tok2: _Token | None):
-    if isinstance(term, str):
-        if term not in labels:
-            raise ParseError(f"unknown block label {term!r}", tok1.span)
-        return Jump(labels[term])
-    if tok1.text not in labels:
-        raise ParseError(f"unknown block label {tok1.text!r}", tok1.span)
-    if tok2.text not in labels:
-        raise ParseError(f"unknown block label {tok2.text!r}", tok2.span)
-    return Branch(term.cond, labels[tok1.text], labels[tok2.text])
+def _int_literal(p: _Parser, k: int) -> int:
+    text = p.toks[k]
+    try:
+        value = int(text)
+    except ValueError:  # more digits than int() converts
+        value = None
+    if value is None or not ir.INT_MIN <= value <= ir.INT_MAX:
+        p.fail(k, f"integer literal {text} outside 64-bit signed range")
+    return value
 
 
 def format_cfg(cfg: Cfg) -> str:

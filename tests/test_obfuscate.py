@@ -271,3 +271,75 @@ def test_program_json_rejects_unknown_version():
 def test_program_json_rejects_garbage():
     with pytest.raises(ValueError):
         program_from_json("{not json", prime_cfg())
+
+
+def test_program_json_is_compact():
+    text = program_to_json(obfuscate(prime_cfg(), 2, seed=1))
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+
+# The loader refuses every malformed file with ValueError.
+
+def _prime_doc(m=3):
+    cfg = prime_cfg()
+    return cfg, json.loads(program_to_json(obfuscate(cfg, m, seed=1)))
+
+
+def _refused(doc, cfg):
+    with pytest.raises(ValueError):
+        program_from_json(json.dumps(doc), cfg)
+
+
+def test_program_json_rejects_short_thread_list():
+    cfg, doc = _prime_doc()
+    doc["threads"] = doc["threads"][:1]
+    _refused(doc, cfg)
+
+
+def test_program_json_rejects_long_thread_list():
+    cfg, doc = _prime_doc()
+    doc["threads"].append(doc["threads"][0])
+    _refused(doc, cfg)
+
+
+@pytest.mark.parametrize("key", ["source_name", "m", "n", "seed", "stride", "assign", "threads"])
+def test_program_json_rejects_missing_key(key):
+    cfg, doc = _prime_doc()
+    del doc[key]
+    _refused(doc, cfg)
+
+
+def test_program_json_rejects_top_level_list():
+    cfg, doc = _prime_doc()
+    _refused([doc], cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("source_name", 7),
+    ("m", "3"),
+    ("m", True),
+    ("m", 0),
+    ("n", 16.0),
+    ("seed", None),
+    ("stride", "64"),
+    ("assign", {"0": 0}),
+    ("threads", {}),
+])
+def test_program_json_rejects_wrongly_typed_field(key, value):
+    cfg, doc = _prime_doc()
+    doc[key] = value
+    _refused(doc, cfg)
+
+
+@pytest.mark.parametrize("entry", ["0", 1.0, None, -1, 3])
+def test_program_json_rejects_bad_assignment_entry(entry):
+    cfg, doc = _prime_doc()
+    doc["assign"][0] = entry
+    _refused(doc, cfg)
+
+
+def test_program_json_rejects_malformed_thread_entry():
+    cfg, doc = _prime_doc()
+    doc["threads"][1] = ["owned"]
+    _refused(doc, cfg)

@@ -5,7 +5,7 @@ import pytest
 from helpers import chain, diamond, two_loop
 from threadsplit import ir, rng
 from threadsplit.kernels import kernel_text
-from threadsplit.obfuscate import get_immediate_successors
+from threadsplit.obfuscate import build_thread_cfg, get_immediate_successors, partition_blocks
 from threadsplit.textfmt import parse
 from threadsplit.verify import (
     Alg1Report,
@@ -160,3 +160,22 @@ def test_report_all_green_is_pass():
     report = VerifyReport(cases=[CaseResult("p", 1, 0, "round-robin", True)])
     assert report.ok
     assert "PASS" in report.summary()
+
+
+def test_build_thread_cfg_wait_sets_match_oracle():
+    r = rng.Rng(99)
+    for _ in range(150):
+        cfg = random_cfg(r)
+        succs = ir.successor_map(cfg)
+        pre_entry = succs + [{cfg.entry}]
+        for m in range(1, 5):
+            for pseed in range(5):
+                part = partition_blocks(cfg, m, pseed)
+                for t in range(m):
+                    tcfg = build_thread_cfg(cfg, part, t, succs)
+                    owned = tcfg.owned_blocks
+                    want = oracle_first_inset_reachable(cfg.n, owned, cfg, pre_entry)
+                    assert tcfg.entry_wait.flags == want
+                    for b in owned:
+                        want = oracle_first_inset_reachable(b, owned, cfg, succs)
+                        assert tcfg.per_block_wait[b].flags == want
