@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset a variable in the store (repeatable)")
     p.add_argument("--trace-out", help="write the execution trace as JSON")
     p.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET,
-                   help="executed blocks (seq, conc) or micro-steps (sched) before "
-                        f"giving up (default {DEFAULT_STEP_BUDGET})")
+                   help="executed blocks before giving up, in every mode (default "
+                        f"{DEFAULT_STEP_BUDGET}); a run no worker can advance stops at "
+                        "once, also with exit 4")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="differential verification sweep")

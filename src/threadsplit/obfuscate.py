@@ -59,10 +59,6 @@ class WaitSet:
 
     flags: frozenset[int]
 
-    @property
-    def includes_done(self) -> bool:
-        return True
-
     def sorted_flags(self) -> tuple[int, ...]:
         return tuple(sorted(self.flags))
 

@@ -9,7 +9,7 @@ semantics (undefined variables read as 0):
   deterministic schedule, with the at-most-one-raised-flag invariant
   monitored after every micro-step. This is the verification vehicle.
 * `run_obfuscated(.., concurrent=True)` - one OS thread per worker,
-  spin-waiting on the shared guard table. CPython's GIL provides the
+  spin-waiting on the shared guard flags. CPython's GIL provides the
   sequentially-consistent memory contract the protocol assumes.
 
 Protocol: all flags start 0, then the entry block's flag is raised.
@@ -19,10 +19,15 @@ against the shared store, then raises the dynamic successor's flag
 (or DONE when the block was the original exit), and moves to the wait
 set derived for that block. DONE is honored only when no waited data
 flag is up. Traps (division/modulo by zero) raise DONE so every worker
-terminates, and the trace reports status "trapped". A run that exhausts
-its step budget reports "deadlock". The budget counts executed blocks in
-`run_sequential` and `conc` mode, and micro-steps in scheduled mode; a
-`conc` worker also gives up after that many idle polls of its own.
+terminates, and the trace reports status "trapped". Both obfuscated
+modes drive this one handoff step (`_Guards`).
+
+One stop rule holds in every mode: the budget counts executed blocks,
+and a run that executes that many without halting ends with status
+"deadlock". Polling changes no state, so once every live worker has
+polled its whole wait set in vain since the last handoff, with DONE
+down, no worker can ever advance: the run ends at once, also as
+"deadlock".
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from statistics import median
 
 from . import ir, rng
 from .ir import BinOp, Branch, Cfg, ConstAssign, Jump, Print
-from .obfuscate import GuardLayout, ObfuscatedProgram
+from .obfuscate import ObfuscatedProgram
 
 COMPLETED = "completed"
 TRAPPED = "trapped"
@@ -71,28 +76,6 @@ class Schedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.step_budget < 1:
             raise ValueError(f"step budget must be >= 1, got {self.step_budget}")
-
-
-class GuardTable:
-    """The n+1 guard flags, one byte each, padded to the layout stride."""
-
-    def __init__(self, layout: GuardLayout):
-        self.layout = layout
-        self.cells = bytearray(layout.slots * layout.stride)
-
-    def get(self, i: int) -> int:
-        return self.cells[i * self.layout.stride]
-
-    def set_flag(self, i: int) -> None:
-        self.cells[i * self.layout.stride] = 1
-
-    def clear_flag(self, i: int) -> None:
-        self.cells[i * self.layout.stride] = 0
-
-    def raised_data_flags(self) -> list[int]:
-        """Block flags currently up, DONE excluded."""
-        stride = self.layout.stride
-        return [b for b in range(self.layout.n) if self.cells[b * stride]]
 
 
 @dataclass
@@ -200,161 +183,169 @@ def run_obfuscated(prog: ObfuscatedProgram, inputs: dict[str, int] | None = None
     return _run_scheduled(prog, inputs, sched, mutation)
 
 
-def _wait_lists(prog: ObfuscatedProgram):
-    """Poll orders: per-thread entry wait lists and the per-block wait
-    list the owner adopts after executing that block (ascending ids)."""
-    entry = [tcfg.entry_wait.sorted_flags() for tcfg in prog.threads]
-    after: list[tuple[int, ...]] = [()] * prog.source.n
-    for tcfg in prog.threads:
-        for b, ws in tcfg.per_block_wait.items():
-            after[b] = ws.sorted_flags()
-    return entry, after
+class _Guards:
+    """One obfuscated run's shared state: the guard flags, each worker's
+    current wait list, the trace, and `handoff`, the protocol step both
+    engines drive. `mutation` bends the step for fault injection."""
+
+    def __init__(self, prog: ObfuscatedProgram, inputs, budget: int,
+                 mutation: Mutation = Mutation.NONE):
+        layout = prog.guard_layout
+        # flags[i] is guard i's byte in a table padded to the layout stride.
+        self.flags = flags = memoryview(bytearray(layout.slots * layout.stride))[::layout.stride]
+        self.done = done = layout.done_index
+        self.waits = waits = [tcfg.entry_wait.sorted_flags() for tcfg in prog.threads]
+        self.trace = trace = ExecutionTrace()
+        records, output = trace.records, trace.output
+        blocks, store = prog.source.blocks, dict(inputs or {})
+        wait_after: list[tuple[int, ...]] = [()] * len(blocks)
+        for tcfg in prog.threads:
+            for blk, ws in tcfg.per_block_wait.items():
+                wait_after[blk] = ws.sorted_flags()
+        clear = mutation is not Mutation.SKIP_CLEAR
+        raise_next = mutation is not Mutation.SKIP_RAISE
+        wrong_successor = mutation is Mutation.WRONG_SUCCESSOR
+        raised = 1  # data flags up
+
+        def stop(status: str) -> None:
+            """End the run: every worker exits once it finds no waited flag."""
+            trace.status = status
+            flags[done] = 1
+
+        def handoff(w: int, b: int, step: int) -> int:
+            """Worker `w` found flag `b` up: clear it, record (step, w, b),
+            run the block, raise its successor's flag (DONE after the exit
+            block or a trap) and adopt the block's wait list. Returns how
+            many data flags are up, or -1, having stopped the run as a
+            deadlock, if the budget allows no further block."""
+            nonlocal raised
+            if len(records) == budget:
+                stop(DEADLOCK)
+                return -1
+            if clear:
+                flags[b] = 0
+                raised -= 1
+            records.append((step, w, b))
+            try:
+                nxt = _exec_block(blocks[b], store, output)
+            except Trap as t:
+                trace.trap_reason = str(t)
+                stop(TRAPPED)
+            else:
+                if nxt is None:
+                    flags[done] = 1
+                elif raise_next:
+                    if wrong_successor:
+                        nxt = (nxt + 1) % len(blocks)
+                    if not flags[nxt]:
+                        # Counted before the flag goes up, while no other
+                        # worker can be changing the count.
+                        raised += 1
+                        flags[nxt] = 1
+            waits[w] = wait_after[b]
+            return raised
+
+        # Closures, not methods, so that a step costs one plain call; they
+        # do not refer to self, so a finished run is freed without waiting
+        # for the cycle collector.
+        self.stop, self.handoff = stop, handoff
+        flags[prog.source.entry] = 1
 
 
 def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> ExecutionTrace:
-    cfg = prog.source
-    n = cfg.n
-    blocks = cfg.blocks
-    table = GuardTable(prog.guard_layout)
-    cells = table.cells
-    stride = prog.guard_layout.stride
-    done_off = prog.guard_layout.done_index * stride
-
-    cur_wait, wait_after = _wait_lists(prog)
+    core = _Guards(prog, inputs, sched.step_budget, mutation)
+    flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
     live = list(range(prog.m))
-    store: dict[str, int] = dict(inputs or {})
-    trace = ExecutionTrace()
-    records = trace.records
-    output = trace.output
-
-    skip_clear = mutation is Mutation.SKIP_CLEAR
-    skip_raise = mutation is Mutation.SKIP_RAISE
-    wrong_succ = mutation is Mutation.WRONG_SUCCESSOR
-
-    cells[cfg.entry * stride] = 1
-    data_raised = 1
+    # Stop rule: bit w of `idle` is set once worker w has polled in vain
+    # since the last handoff; when every bit is set, no worker can advance.
+    idle, everyone = 0, (1 << prog.m) - 1
+    violating = False
     chooser = rng.Rng(sched.seed) if sched.mode == RANDOM else None
-    budget = sched.step_budget
     pos = 0
     step = 0
 
     while live:
-        if step >= budget:
-            trace.status = DEADLOCK
-            return trace
         if chooser is None:
             pos %= len(live)
         else:
             pos = chooser.below(len(live))
         w = live[pos]
-        step += 1
-
-        found = -1
-        for b in cur_wait[w]:
-            if cells[b * stride]:
-                found = b
+        for b in waits[w]:
+            if flags[b]:
+                up = handoff(w, b, step)
+                if up < 0:
+                    return trace
+                violating = up > 1
+                idle = 0
+                pos += 1
                 break
-        if found >= 0:
-            if not skip_clear:
-                cells[found * stride] = 0
-                data_raised -= 1
-            records.append((step - 1, w, found))
-            try:
-                nxt = _exec_block(blocks[found], store, output)
-            except Trap as t:
-                trace.status, trace.trap_reason = TRAPPED, str(t)
-                cells[done_off] = 1
-            else:
-                if nxt is None:
-                    cells[done_off] = 1
-                elif not skip_raise:
-                    if wrong_succ:
-                        nxt = (nxt + 1) % n
-                    if not cells[nxt * stride]:
-                        cells[nxt * stride] = 1
-                        data_raised += 1
-            cur_wait[w] = wait_after[found]
-            pos += 1
-        elif cells[done_off]:
-            live.pop(pos)  # exit; the next worker slides into this slot
         else:
-            pos += 1
-        if data_raised > 1:
+            if flags[done]:
+                live.pop(pos)  # exit; the next worker slides into this slot
+            else:
+                idle |= 1 << w
+                if idle == everyone:
+                    core.stop(DEADLOCK)
+                    live.clear()
+                pos += 1
+        step += 1
+        if violating:
             trace.flag_violations += 1
     return trace
 
 
-def _run_concurrent(prog, inputs, step_budget: int) -> ExecutionTrace:
-    cfg = prog.source
-    blocks = cfg.blocks
-    table = GuardTable(prog.guard_layout)
-    cells = table.cells
-    stride = prog.guard_layout.stride
-    done_off = prog.guard_layout.done_index * stride
+def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
+    core = _Guards(prog, inputs, budget)
+    flags, done, waits, handoff = core.flags, core.done, core.waits, core.handoff
+    records = core.trace.records
+    # Stop rule as in scheduled mode. A handoff counts only once its
+    # successor's flag is up, and a vain poll counts only if no handoff
+    # was counted between reading the count before it and taking the
+    # lock after it, so a worker that is running or has a flag coming
+    # never counts as idle. The lock keeps the next worker's count from
+    # losing this one; reading `idle` before taking it only skips polls
+    # already counted.
+    lock = threading.Lock()
+    handoffs = idle = 0
+    everyone = (1 << prog.m) - 1
 
-    entry_waits, wait_after = _wait_lists(prog)
-    store: dict[str, int] = dict(inputs or {})
-    trace = ExecutionTrace()
-    records = trace.records
-    output = trace.output
-    # Only the single active worker mutates these; the GIL covers the rest.
-    state = {"step": 0, "status": COMPLETED, "trap": None}
-    abort = threading.Event()
-
-    def worker(t: int, wait: tuple[int, ...]):
-        polls = 0
+    def worker(w: int):
+        nonlocal handoffs, idle
         while True:
-            found = -1
-            for b in wait:
-                if cells[b * stride]:
-                    found = b
+            seen = handoffs
+            for b in waits[w]:
+                if flags[b]:
+                    # Only the worker holding the one raised flag appends
+                    # records, so it numbers them 0, 1, 2, ...
+                    if handoff(w, b, len(records)) < 0:
+                        return
+                    with lock:
+                        idle = 0
+                        handoffs += 1
                     break
-            if found >= 0:
-                step = state["step"]
-                # The budget counts executed blocks, as in run_sequential.
-                if step >= step_budget or abort.is_set():
-                    state["status"] = DEADLOCK
-                    abort.set()
+            else:
+                if flags[done]:
                     return
-                cells[found * stride] = 0
-                state["step"] = step + 1
-                records.append((step, t, found))
-                try:
-                    nxt = _exec_block(blocks[found], store, output)
-                except Trap as trap:
-                    state["status"], state["trap"] = TRAPPED, str(trap)
-                    cells[done_off] = 1
-                else:
-                    if nxt is None:
-                        cells[done_off] = 1
-                    else:
-                        cells[nxt * stride] = 1
-                wait = wait_after[found]
-                continue
-            if cells[done_off] or abort.is_set():
-                return
-            polls += 1
-            if polls >= step_budget:
-                state["status"] = DEADLOCK
-                abort.set()
-                return
-            # A short real sleep parks this spinner so the active worker
-            # gets the GIL immediately; sleep(0) would make it wait out
-            # the interpreter's switch interval on every handoff.
-            time.sleep(0.000001)
+                if not idle >> w & 1:
+                    with lock:
+                        if seen == handoffs:
+                            idle |= 1 << w
+                            if idle == everyone:
+                                core.stop(DEADLOCK)
+                                return
+                # A short real sleep parks this spinner so the active
+                # worker gets the GIL immediately; sleep(0) would make it
+                # wait out the interpreter's switch interval on every
+                # handoff.
+                time.sleep(0.000001)
 
-    workers = [
-        threading.Thread(target=worker, args=(t, entry_waits[t]), name=f"worker-{t}")
-        for t in range(prog.m)
-    ]
-    cells[cfg.entry * stride] = 1
+    workers = [threading.Thread(target=worker, args=(w,), name=f"worker-{w}")
+               for w in range(prog.m)]
     for th in workers:
         th.start()
     for th in workers:
         th.join()
-    trace.status = state["status"]
-    trace.trap_reason = state["trap"]
-    return trace
+    return core.trace
 
 
 @dataclass

@@ -26,7 +26,6 @@ from .ir import BasicBlock, Branch, Cfg, Halt, Jump
 from .obfuscate import check_bijection, obfuscate, wait_set_query
 from .runtime import (
     COMPLETED,
-    DEFAULT_STEP_BUDGET,
     RANDOM,
     ROUND_ROBIN,
     Mutation,
@@ -119,12 +118,11 @@ class VerifyConfig:
     schedule_seeds: int = 10
     corpus: tuple[str, ...] = ()  # paths of .cfg files for verify_files
     max_oracle_n: int = 12
-    step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ValueError("m_values entries must be >= 1")
-        for name in ("partition_seeds", "schedule_seeds", "max_oracle_n", "step_budget"):
+        for name in ("partition_seeds", "schedule_seeds", "max_oracle_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -241,7 +239,9 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
                       inputs: dict[str, int] | None = None) -> VerifyReport:
     """Sweep one program: every m x partition seed gets a structure
     check plus round-robin and `schedule_seeds` random-schedule runs,
-    each compared field-by-field against the sequential reference."""
+    each compared field-by-field against the sequential reference.
+    Each run's budget is the reference's block count: a run that needs
+    more has already diverged."""
     config = config or VerifyConfig()
     name = name or cfg.name
     ref = run_sequential(cfg, inputs)
@@ -250,9 +250,10 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     ref_blocks = ref.block_sequence()
     ref_output = ref.output
 
+    budget = len(ref_blocks)
     results: list[CaseResult] = []
-    schedules = [Schedule(ROUND_ROBIN, 0, config.step_budget)]
-    schedules += [Schedule(RANDOM, s, config.step_budget) for s in range(config.schedule_seeds)]
+    schedules = [Schedule(ROUND_ROBIN, 0, budget)]
+    schedules += [Schedule(RANDOM, s, budget) for s in range(config.schedule_seeds)]
     for m in config.m_values:
         for pseed in range(config.partition_seeds):
             prog = obfuscate(cfg, m, pseed)
@@ -278,15 +279,16 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     return VerifyReport(cases=results)
 
 
-def check_mutations(cfg: Cfg, m: int = 3, seed: int = 7,
-                    budget: int = 200_000) -> dict[str, dict]:
+def check_mutations(cfg: Cfg, m: int = 3, seed: int = 7) -> dict[str, dict]:
     """Inject each protocol fault into a scheduled run and report how it
-    was detected. The reduced budget keeps induced deadlocks quick."""
+    was detected. As in `check_equivalence`, a run may execute only as
+    many blocks as the reference did."""
     ref = run_sequential(cfg)
     prog = obfuscate(cfg, m, seed)
+    sched = Schedule(step_budget=len(ref.records))
     report: dict[str, dict] = {}
     for mut in (Mutation.SKIP_CLEAR, Mutation.SKIP_RAISE, Mutation.WRONG_SUCCESSOR):
-        trace = run_obfuscated(prog, sched=Schedule(step_budget=budget), mutation=mut)
+        trace = run_obfuscated(prog, sched=sched, mutation=mut)
         signals = []
         if trace.flag_violations:
             signals.append(f"{trace.flag_violations} mutual-exclusion violations")

@@ -1,6 +1,22 @@
-"""Small hand-built CFGs shared across test modules."""
+"""Small hand-built CFGs and a child-process runner shared across test
+modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import threadsplit
 from threadsplit.ir import BasicBlock, Branch, Cfg, Halt, Jump
+
+
+def run_child(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run the interpreter with `args` in a child process that imports
+    this threadsplit. A run that never stops fails the calling test by
+    timeout instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(threadsplit.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env)
 
 
 def chain(k: int, name: str = "chain") -> Cfg:

@@ -1,14 +1,9 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import threadsplit
-
 from dotcheck import parse_dot
+from helpers import run_child
 from threadsplit.cli import main
 from threadsplit.kernels import kernel_text
 
@@ -200,20 +195,29 @@ def test_run_deadlock_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_run_conc_budget_stops_endless_loop(tmp_path, m):
-    # In a child process with a timeout: a run that ignores the budget
-    # fails this test instead of hanging the suite.
     src, obf, trace = tmp_path / "spin.cfg", tmp_path / "spin.obf", tmp_path / "t.json"
     src.write_text(SPIN)
     assert main(["obfuscate", "-i", str(src), "-m", str(m), "-o", str(obf)]) == 0
-    env = dict(os.environ, PYTHONPATH=str(Path(threadsplit.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "threadsplit.cli", "run", "-i", str(src), "--obf", str(obf),
-         "--mode", "conc", "--budget", "1000", "--trace-out", str(trace)],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = run_child("-m", "threadsplit.cli", "run", "-i", str(src), "--obf", str(obf),
+                     "--mode", "conc", "--budget", "1000", "--trace-out", str(trace))
     assert proc.returncode == 4
     assert "deadlock" in proc.stderr
     # The budget counts executed blocks, as in seq mode.
     assert len(json.loads(trace.read_text())["records"]) == 1000
+
+
+def test_run_budget_means_executed_blocks_in_sched(kernels, capsys, tmp_path):
+    obf = str(tmp_path / "prime.obf")
+    main(["obfuscate", "-i", kernels["prime"], "-m", "2", "--seed", "0", "-o", obf])
+    capsys.readouterr()
+    assert main(["run", "-i", kernels["prime"], "--mode", "seq", "--budget", "100"]) == 4
+    seq_out = capsys.readouterr().out
+    rc = main(["run", "-i", kernels["prime"], "--obf", obf, "--mode", "sched",
+               "--budget", "100"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == seq_out
+    assert "deadlock" in captured.err
 
 
 def test_run_writes_trace(kernels, tmp_path):

@@ -168,14 +168,6 @@ def test_obfuscate_rejects_invalid_cfg():
         obfuscate(two_loop(), 2, 0)
 
 
-def test_wait_set_always_includes_done():
-    prog = obfuscate(prime_cfg(), 3, seed=5)
-    for tcfg in prog.threads:
-        assert tcfg.entry_wait.includes_done
-        for ws in tcfg.per_block_wait.values():
-            assert ws.includes_done
-
-
 def test_wait_sets_never_contain_foreign_blocks():
     prog = obfuscate(prime_cfg(), 4, seed=11)
     for tcfg in prog.threads:

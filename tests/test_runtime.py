@@ -2,15 +2,16 @@ import json
 
 import pytest
 
-from helpers import chain
+from helpers import chain, run_child
 from threadsplit.ir import INT_MAX, INT_MIN
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import Partition, build_thread_cfg, obfuscate
 from threadsplit.runtime import (
     COMPLETED,
     DEADLOCK,
+    RANDOM,
+    ROUND_ROBIN,
     TRAPPED,
-    GuardTable,
     Mutation,
     ObfuscatedProgram,
     Schedule,
@@ -185,6 +186,53 @@ def test_scheduled_budget_exhaustion_is_deadlock():
     assert trace.status == DEADLOCK
 
 
+def test_budget_counts_executed_blocks_in_every_engine():
+    cfg = kernel("prime")
+    ref = run_sequential(cfg, max_steps=100)
+    assert ref.status == DEADLOCK
+    assert len(ref.records) == 100
+    assert len(ref.output) == 20
+    prog = obfuscate(cfg, 2, seed=0)
+    runs = [run_obfuscated(prog, sched=Schedule(ROUND_ROBIN, 0, 100)),
+            run_obfuscated(prog, sched=Schedule(RANDOM, 3, 100)),
+            run_obfuscated(prog, sched=Schedule(step_budget=100), concurrent=True)]
+    for trace in runs:
+        assert trace.status == DEADLOCK
+        assert len(trace.records) == 100
+        assert trace.output == ref.output
+        assert trace.block_sequence() == ref.block_sequence()
+
+
+# argv[1] is m. The entry block's owner waits on nothing after any of its
+# blocks, so once control comes back to it no worker can ever advance.
+NO_WAY_BACK = """
+import sys
+from threadsplit.kernels import kernel_text
+from threadsplit.obfuscate import WaitSet, obfuscate
+from threadsplit.runtime import Schedule, run_obfuscated
+from threadsplit.textfmt import parse
+
+prog = obfuscate(parse(kernel_text("prime")), int(sys.argv[1]), 0)
+owner = prog.threads[prog.partition.assign[prog.source.entry]]
+for b in owner.per_block_wait:
+    owner.per_block_wait[b] = WaitSet(frozenset())
+for concurrent in (False, True):
+    trace = run_obfuscated(prog, sched=Schedule(step_budget=10**12), concurrent=concurrent)
+    print(trace.status, len(trace.records))
+"""
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_run_no_worker_can_advance_stops_at_once(m):
+    proc = run_child("-c", NO_WAY_BACK, str(m))
+    assert proc.returncode == 0, proc.stderr
+    (sched_status, sched_blocks), (conc_status, conc_blocks) = (
+        line.split() for line in proc.stdout.splitlines())
+    assert sched_status == conc_status == DEADLOCK
+    # Both engines stop at the same block: the first one nobody waits for.
+    assert sched_blocks == conc_blocks
+
+
 def test_m1_replays_sequential_exactly():
     for name in KERNELS:
         cfg = kernel(name)
@@ -258,6 +306,36 @@ def test_concurrent_matches_sequential_output():
         assert trace.output == ref.output
 
 
+# More workers than cores, and a switch interval far below the default so
+# the threads interleave at many more points; the child process exits
+# with its switch interval. A lost handoff count or a worker counted idle
+# while a flag was coming would stop a run early as a deadlock.
+CONC_STRESS = """
+import sys
+sys.setswitchinterval(1e-5)
+from threadsplit.kernels import KERNELS, kernel_text
+from threadsplit.obfuscate import obfuscate
+from threadsplit.runtime import run_obfuscated, run_sequential
+from threadsplit.textfmt import parse
+
+for name in KERNELS:
+    cfg = parse(kernel_text(name))
+    ref = run_sequential(cfg)
+    for m in (2, 3, 4, 5):
+        for seed in range(10):
+            trace = run_obfuscated(obfuscate(cfg, m, seed), concurrent=True)
+            if (trace.status, trace.output, trace.block_sequence()) != (
+                    ref.status, ref.output, ref.block_sequence()):
+                print(name, m, seed, trace.status, len(trace.records))
+"""
+
+
+def test_concurrent_stress_never_stops_early():
+    proc = run_child("-c", CONC_STRESS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_concurrent_rejects_mutations():
     prog = obfuscate(kernel("fib"), 2, seed=0)
     with pytest.raises(ValueError):
@@ -287,18 +365,6 @@ def test_mutation_wrong_successor_detected():
     diverged = (trace.status != ref.status or trace.output != ref.output
                 or trace.block_sequence() != ref.block_sequence())
     assert diverged
-
-
-def test_guard_table_layout_and_flags():
-    prog = obfuscate(kernel("evens"), 2, seed=0, stride=16)
-    table = GuardTable(prog.guard_layout)
-    assert len(table.cells) == (prog.source.n + 1) * 16
-    table.set_flag(3)
-    assert table.get(3) == 1
-    assert table.cells[3 * 16] == 1
-    assert table.raised_data_flags() == [3]
-    table.clear_flag(3)
-    assert table.raised_data_flags() == []
 
 
 def test_schedule_validation():
