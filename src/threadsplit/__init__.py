@@ -10,8 +10,6 @@ from .obfuscate import (
     WaitSet,
     check_bijection,
     count_combinations,
-    get_immediate_successors,
-    initial_wait_set,
     obfuscate,
     partition_blocks,
     program_from_json,
@@ -32,8 +30,7 @@ __all__ = [
     "BasicBlock", "BinOp", "Branch", "Cfg", "ConstAssign", "Halt", "Jump", "Print",
     "validate",
     "ObfuscatedProgram", "Partition", "ThreadCfg", "WaitSet",
-    "check_bijection", "count_combinations", "get_immediate_successors",
-    "initial_wait_set", "obfuscate", "partition_blocks",
+    "check_bijection", "count_combinations", "obfuscate", "partition_blocks",
     "program_from_json", "program_to_json",
     "ExecutionTrace", "Mutation", "Schedule",
     "benchmark", "run_obfuscated", "run_sequential",

@@ -7,7 +7,6 @@ file, or parse error, 3 program trapped, 4 deadlock.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -15,7 +14,6 @@ from pathlib import Path
 from . import ir, textfmt
 from .ir import Cfg
 from .obfuscate import (
-    DEFAULT_STRIDE,
     ObfuscatedProgram,
     count_combinations,
     obfuscate,
@@ -28,6 +26,7 @@ from .runtime import (
     DEFAULT_STEP_BUDGET,
     RANDOM,
     ROUND_ROBIN,
+    SLOWDOWN_BAND,
     TRAPPED,
     Schedule,
     benchmark,
@@ -68,19 +67,6 @@ def _load_program(path: str, cfg: Cfg) -> ObfuscatedProgram:
         raise CliError(f"{path}: {e}")
 
 
-def _env_stride() -> int:
-    raw = os.environ.get("GUARD_STRIDE", "")
-    if not raw:
-        return DEFAULT_STRIDE
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliError(f"invalid GUARD_STRIDE value {raw!r}")
-    if value < 1:
-        raise CliError(f"GUARD_STRIDE must be >= 1, got {value}")
-    return value
-
-
 def _parse_defines(pairs: list[str] | None) -> dict[str, int]:
     store: dict[str, int] = {}
     for pair in pairs or []:
@@ -106,20 +92,21 @@ def _write_text(path: str | Path, text: str) -> None:
 
 def cmd_obfuscate(args) -> int:
     cfg = _load_cfg(args.input)
-    stride = args.stride if args.stride is not None else _env_stride()
     try:
-        prog = obfuscate(cfg, args.m, args.seed, stride)
+        prog = obfuscate(cfg, args.m, args.seed)
     except ValueError as e:
         raise CliError(str(e))
     out = args.out or str(Path(args.input).with_suffix(".obf"))
     _write_text(out, program_to_json(prog))
-    print(f"{cfg.name}: n={cfg.n} blocks, m={args.m} threads, seed={args.seed}, stride={stride}")
+    print(f"{cfg.name}: n={cfg.n} blocks, m={args.m} threads, seed={args.seed}")
     print(f"possible assignments for this (m, n): {count_combinations(args.m, cfg.n)}")
     print(f"wrote {out}")
     return 0
 
 
 def cmd_run(args) -> int:
+    if args.budget < 1:
+        raise CliError(f"bad --budget {args.budget}, expected >= 1")
     cfg = _load_cfg(args.input)
     inputs = _parse_defines(args.define)
     if args.mode == "seq":
@@ -158,7 +145,6 @@ def cmd_verify(args) -> int:
             m_values=m_values,
             partition_seeds=args.partition_seeds,
             schedule_seeds=args.schedule_seeds,
-            corpus=tuple(args.inputs),
             max_oracle_n=args.max_oracle_n,
         )
     except ValueError as e:
@@ -206,12 +192,14 @@ def cmd_bench(args) -> int:
         raise CliError(str(e))
     try:
         report = benchmark(cfg, prog, repeats=args.repeats, concurrent=args.mode == "conc")
+    except ValueError as e:
+        raise CliError(str(e))
     except RuntimeError as e:
         raise CliError(str(e), code=1)
     print(f"{cfg.name}: n={cfg.n}, m={args.m}, mode={report.mode}, repeats={report.repeats}")
     print(f"sequential median: {report.seq_time * 1e3:.3f} ms")
     print(f"obfuscated median: {report.conc_time * 1e3:.3f} ms")
-    print(f"slowdown: {report.slowdown:.1f}x (expected band {report.expected_band}, "
+    print(f"slowdown: {report.slowdown:.1f}x (expected band {SLOWDOWN_BAND}, "
           "hardware-dependent)")
     return 0
 
@@ -229,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=4, help="number of threads (default 4)")
     p.add_argument("--seed", type=int, default=0, help="partition seed (default 0)")
     p.add_argument("-o", "--out", help="output path (default: input with .obf suffix)")
-    p.add_argument("--stride", type=int, default=None,
-                   help="bytes between guard flags (default: GUARD_STRIDE env or 64)")
     p.set_defaults(func=cmd_obfuscate)
 
     p = sub.add_parser("run", help="execute a program")

@@ -119,12 +119,6 @@ def successors(cfg: Cfg, b: int) -> set[int]:
     return set()
 
 
-def predecessors(cfg: Cfg, b: int) -> set[int]:
-    """Blocks whose terminator can transfer control to `b`."""
-    _block(cfg, b)
-    return {p.id for p in cfg.blocks if b in successors(cfg, p.id)}
-
-
 def successor_map(cfg: Cfg) -> list[set[int]]:
     """All successor sets at once, indexed by block id."""
     return [successors(cfg, b.id) for b in cfg.blocks]

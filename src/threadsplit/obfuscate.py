@@ -35,9 +35,7 @@ from dataclasses import dataclass
 from . import ir, rng
 from .ir import Cfg
 
-DEFAULT_STRIDE = 64
-
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -92,33 +90,11 @@ class ThreadCfg:
         return seen
 
 
-@dataclass(frozen=True)
-class GuardLayout:
-    """Flag table layout: one 0/1 cell per block plus DONE, each padded to
-    `stride` bytes so concurrent spinners don't share cache lines."""
-
-    n: int
-    stride: int = DEFAULT_STRIDE
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-
-    @property
-    def slots(self) -> int:
-        return self.n + 1
-
-    @property
-    def done_index(self) -> int:
-        return self.n
-
-
 @dataclass
 class ObfuscatedProgram:
     source: Cfg
     partition: Partition
     threads: list[ThreadCfg]
-    guard_layout: GuardLayout
 
     @property
     def m(self) -> int:
@@ -208,27 +184,6 @@ def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], frozenset[int]]:
     return first_in_set
 
 
-def get_immediate_successors(bcur: int, bbset, cfg: Cfg, succs=None) -> set[int]:
-    """Blocks of `bbset` reachable from `bcur` along paths whose
-    intermediate blocks all lie outside `bbset`. `bcur` itself need not
-    belong to `bbset`. `succs` may carry a precomputed
-    ir.successor_map(cfg)."""
-    if not 0 <= bcur < cfg.n:
-        raise ValueError(f"no block with id {bcur!r} in cfg {cfg.name!r}")
-    if succs is None:
-        succs = ir.successor_map(cfg)
-    return set(wait_set_query(succs, frozenset(bbset))(succs[bcur]))
-
-
-def initial_wait_set(bbset, cfg: Cfg, succs=None) -> set[int]:
-    """First in-set blocks reachable from the program entry (the entry
-    itself if owned): what a thread must wait on before anything of its
-    partition has run."""
-    if succs is None:
-        succs = ir.successor_map(cfg)
-    return set(wait_set_query(succs, frozenset(bbset))((cfg.entry,)))
-
-
 def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> ThreadCfg:
     if not 0 <= t < partition.m:
         raise ValueError(f"thread index {t} out of range for m={partition.m}")
@@ -241,16 +196,16 @@ def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> Thre
     return ThreadCfg(t, owned, entry_wait, per_block)
 
 
-def obfuscate(cfg: Cfg, m: int, seed: int, stride: int = DEFAULT_STRIDE) -> ObfuscatedProgram:
-    """Partition the blocks and build all m thread CFGs plus the guard
-    layout. Pure function of its arguments."""
+def obfuscate(cfg: Cfg, m: int, seed: int) -> ObfuscatedProgram:
+    """Partition the blocks and build all m thread CFGs. Pure function of
+    its arguments."""
     errors = ir.validate(cfg)
     if errors:
         raise ValueError(f"invalid cfg {cfg.name!r}: " + "; ".join(errors))
     partition = partition_blocks(cfg, m, seed)
     succs = ir.successor_map(cfg)
     threads = [build_thread_cfg(cfg, partition, t, succs) for t in range(m)]
-    return ObfuscatedProgram(cfg, partition, threads, GuardLayout(cfg.n, stride))
+    return ObfuscatedProgram(cfg, partition, threads)
 
 
 def count_combinations(m: int, n: int) -> int:
@@ -297,7 +252,6 @@ def program_to_json(prog: ObfuscatedProgram) -> str:
         "m": prog.partition.m,
         "n": prog.source.n,
         "seed": prog.partition.seed,
-        "stride": prog.guard_layout.stride,
         "prng": rng.ALGORITHM,
         "assign": [prog.partition.assign[b] for b in range(prog.source.n)],
         "threads": [_thread_doc(tcfg) for tcfg in prog.threads],
@@ -330,7 +284,7 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ValueError(f"not a valid program file: {e}") from e
     if not isinstance(doc, dict):
         raise ValueError(f"not a valid program file: top level is a {type(doc).__name__}")
@@ -349,7 +303,6 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     if len(assign) != cfg.n or not all(_is_a(t, int) and 0 <= t < m for t in assign):
         raise ValueError("malformed block assignment")
     seed = _field(doc, "seed", int)
-    stride = _field(doc, "stride", int)
     stored_threads = _field(doc, "threads", list)
     if len(stored_threads) != m:
         raise ValueError(f"program file has {len(stored_threads)} threads, expected m={m}")
@@ -363,4 +316,4 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
                 f"thread {tcfg.thread_index} in program file does not match the "
                 f"given cfg (stale or edited file?)"
             )
-    return ObfuscatedProgram(cfg, partition, threads, GuardLayout(cfg.n, stride))
+    return ObfuscatedProgram(cfg, partition, threads)

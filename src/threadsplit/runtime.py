@@ -184,16 +184,16 @@ def run_obfuscated(prog: ObfuscatedProgram, inputs: dict[str, int] | None = None
 
 
 class _Guards:
-    """One obfuscated run's shared state: the guard flags, each worker's
-    current wait list, the trace, and `handoff`, the protocol step both
-    engines drive. `mutation` bends the step for fault injection."""
+    """One obfuscated run's shared state: the guard flags, one byte per
+    block with DONE at index n, each worker's current wait list, the
+    trace, and `handoff`, the protocol step both engines drive.
+    `mutation` bends the step for fault injection."""
 
     def __init__(self, prog: ObfuscatedProgram, inputs, budget: int,
                  mutation: Mutation = Mutation.NONE):
-        layout = prog.guard_layout
-        # flags[i] is guard i's byte in a table padded to the layout stride.
-        self.flags = flags = memoryview(bytearray(layout.slots * layout.stride))[::layout.stride]
-        self.done = done = layout.done_index
+        n = prog.source.n
+        self.flags = flags = bytearray(n + 1)
+        self.done = done = n
         self.waits = waits = [tcfg.entry_wait.sorted_flags() for tcfg in prog.threads]
         self.trace = trace = ExecutionTrace()
         records, output = trace.records, trace.output
@@ -348,6 +348,11 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     return core.trace
 
 
+# Published measurements for this transformation report a slowdown of one
+# to two orders of magnitude; actual cost is hardware- and program-dependent.
+SLOWDOWN_BAND = "10x-100x"
+
+
 @dataclass
 class BenchReport:
     """Wall-clock comparison of the original vs the obfuscated program."""
@@ -359,21 +364,6 @@ class BenchReport:
     seq_time: float
     conc_time: float
     slowdown: float
-    # Published measurements for this transformation report one to two
-    # orders of magnitude; actual cost is hardware- and program-dependent.
-    expected_band: str = "10x-100x"
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "repeats": self.repeats,
-            "seq_samples": self.seq_samples,
-            "obf_samples": self.obf_samples,
-            "seq_time_median": self.seq_time,
-            "conc_time_median": self.conc_time,
-            "slowdown": self.slowdown,
-            "expected_band": self.expected_band,
-        }
 
 
 def benchmark(cfg: Cfg, prog: ObfuscatedProgram, inputs: dict[str, int] | None = None,

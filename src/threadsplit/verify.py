@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from . import ir, rng, textfmt
-from .ir import BasicBlock, Branch, Cfg, Halt, Jump
+from . import ir, rng
+from .ir import BasicBlock, BinOp, Branch, Cfg, Halt, Jump
 from .obfuscate import check_bijection, obfuscate, wait_set_query
 from .runtime import (
     COMPLETED,
@@ -58,11 +57,15 @@ def oracle_first_inset_reachable(bcur: int, bbset, cfg: Cfg,
     return result
 
 
+_FLIP_C = BinOp("c", "c", "==", "z")
+
+
 def random_cfg(r: rng.Rng, max_n: int = 12, branch_density: float = 0.4) -> Cfg:
     """Random valid cfg with uniform size 1..max_n: one halt block, the
     rest jumps or branches with uniformly random targets. Targets are
     redrawn (keeping n fixed) until every block is reachable from the
-    entry."""
+    entry. Every block runs `c = c == z` and every branch tests c; z is
+    never set, so c flips at each block and branches take both arms."""
     n = 1 + r.below(max_n)
     while True:
         exit_id = r.below(n)
@@ -78,7 +81,8 @@ def random_cfg(r: rng.Rng, max_n: int = 12, branch_density: float = 0.4) -> Cfg:
         # so test it before building the cfg.
         if not _reaches_all(terms):
             continue
-        cfg = Cfg("random", [BasicBlock(i, f"b{i}", [], term) for i, term in enumerate(terms)])
+        cfg = Cfg("random", [BasicBlock(i, f"b{i}", [_FLIP_C], term)
+                             for i, term in enumerate(terms)])
         if not ir.validate(cfg):
             return cfg
 
@@ -116,7 +120,6 @@ class VerifyConfig:
     m_values: tuple[int, ...] = (1, 2, 3, 4)
     partition_seeds: int = 25
     schedule_seeds: int = 10
-    corpus: tuple[str, ...] = ()  # paths of .cfg files for verify_files
     max_oracle_n: int = 12
 
     def __post_init__(self):
@@ -302,16 +305,11 @@ def check_mutations(cfg: Cfg, m: int = 3, seed: int = 7) -> dict[str, dict]:
     return report
 
 
-def verify_files(named_cfgs: list[tuple[str, Cfg]] | None = None,
-                 config: VerifyConfig | None = None,
+def verify_files(named_cfgs: list[tuple[str, Cfg]], config: VerifyConfig | None = None,
                  alg1_trials: int = 100, seed: int = 2024) -> VerifyReport:
     """Full verification: wait-set oracle trials (unless alg1_trials is
-    0) plus the differential sweep over a corpus of programs, given
-    either pre-parsed as (name, cfg) pairs or as paths in config.corpus."""
+    0) plus the differential sweep over (name, cfg) pairs."""
     config = config or VerifyConfig()
-    if named_cfgs is None:
-        named_cfgs = [(Path(p).stem, textfmt.parse(Path(p).read_text()))
-                      for p in config.corpus]
     report = VerifyReport()
     if alg1_trials > 0:
         report.merge(check_algorithm1(alg1_trials, config.max_oracle_n, seed))

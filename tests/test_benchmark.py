@@ -1,0 +1,25 @@
+"""The benchmark in benchmark/ drives threadsplit through its public
+functions and checks every result; one short traced run keeps it
+working as the package changes."""
+
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from helpers import run_child
+
+RUN = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the benchmark's concurrent runs need 2 cores")
+def test_benchmark_traced_verify_sweep_is_correct():
+    proc = run_child(str(RUN), "--workload", "verify-sweep", "--seed", "1",
+                     "--seconds", "0.001", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

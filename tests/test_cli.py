@@ -91,24 +91,16 @@ def test_obfuscate_rejects_m_zero(kernels):
     assert main(["obfuscate", "-i", kernels["evens"], "-m", "0"]) == 2
 
 
-def test_obfuscate_honors_guard_stride_env(kernels, tmp_path, monkeypatch):
-    monkeypatch.setenv("GUARD_STRIDE", "8")
+def test_obfuscate_writes_version_2_without_stride(kernels, capsys, tmp_path):
     out = str(tmp_path / "s.obf")
     assert main(["obfuscate", "-i", kernels["evens"], "-m", "2", "-o", out]) == 0
-    assert json.loads((tmp_path / "s.obf").read_text())["stride"] == 8
+    doc = json.loads((tmp_path / "s.obf").read_text())
+    assert doc["version"] == 2 and "stride" not in doc
+    assert "stride" not in capsys.readouterr().out
 
 
-def test_obfuscate_flag_overrides_env(kernels, tmp_path, monkeypatch):
-    monkeypatch.setenv("GUARD_STRIDE", "8")
-    out = str(tmp_path / "s.obf")
-    assert main(["obfuscate", "-i", kernels["evens"], "-m", "2", "-o", out,
-                 "--stride", "32"]) == 0
-    assert json.loads((tmp_path / "s.obf").read_text())["stride"] == 32
-
-
-def test_obfuscate_rejects_bad_guard_stride_env(kernels, monkeypatch):
-    monkeypatch.setenv("GUARD_STRIDE", "lots")
-    assert main(["obfuscate", "-i", kernels["evens"], "-m", "2"]) == 2
+def test_obfuscate_rejects_stride_option(kernels):
+    assert main(["obfuscate", "-i", kernels["evens"], "--stride", "8"]) == 2
 
 
 def test_parse_error_reports_position(capsys, tmp_path):
@@ -220,6 +212,15 @@ def test_run_budget_means_executed_blocks_in_sched(kernels, capsys, tmp_path):
     assert "deadlock" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["seq", "sched", "conc"])
+def test_run_rejects_nonpositive_budget(kernels, tmp_path, mode):
+    obf = str(tmp_path / "fib.obf")
+    assert main(["obfuscate", "-i", kernels["fib"], "-m", "2", "-o", obf]) == 0
+    for budget in ("0", "-5"):
+        assert main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", mode,
+                     "--budget", budget]) == 2
+
+
 def test_run_writes_trace(kernels, tmp_path):
     trace_path = tmp_path / "t.json"
     assert main(["run", "-i", kernels["fib"], "--trace-out", str(trace_path)]) == 0
@@ -278,6 +279,10 @@ def test_dot_m1_writes_two_files(kernels, tmp_path):
     out_dir = tmp_path / "d2"
     assert main(["dot", "-i", kernels["fib"], "--obf", obf, "--out-dir", str(out_dir)]) == 0
     assert len(list(out_dir.glob("*.dot"))) == 2
+
+
+def test_bench_rejects_zero_repeats(kernels):
+    assert main(["bench", "-i", kernels["fib"], "--repeats", "0"]) == 2
 
 
 def test_bench_reports_slowdown(kernels, capsys):

@@ -52,23 +52,6 @@ def test_successor_map_matches_pointwise():
     assert ir.successor_map(cfg) == [ir.successors(cfg, b) for b in range(cfg.n)]
 
 
-def test_predecessors_chain():
-    cfg = chain(3)
-    assert ir.predecessors(cfg, 0) == set()
-    assert ir.predecessors(cfg, 1) == {0}
-    assert ir.predecessors(cfg, 2) == {1}
-
-
-def test_predecessors_loop_head_sees_forward_and_back_edges():
-    cfg = Cfg("loop", [
-        BasicBlock(0, "pre", [], Jump(1)),
-        BasicBlock(1, "head", [], Branch("c", 2, 3)),
-        BasicBlock(2, "body", [], Jump(1)),
-        BasicBlock(3, "end", [], Halt()),
-    ])
-    assert ir.predecessors(cfg, 1) == {0, 2}
-
-
 def test_exit_property():
     assert chain(3).exit == 2
     with pytest.raises(ValueError):

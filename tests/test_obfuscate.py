@@ -6,18 +6,16 @@ from helpers import chain, diamond, two_loop
 from threadsplit import ir
 from threadsplit.kernels import kernel_text
 from threadsplit.obfuscate import (
-    GuardLayout,
     Partition,
     WaitSet,
     build_thread_cfg,
     check_bijection,
     count_combinations,
-    get_immediate_successors,
-    initial_wait_set,
     obfuscate,
     partition_blocks,
     program_from_json,
     program_to_json,
+    wait_set_query,
 )
 from threadsplit.textfmt import parse
 
@@ -28,62 +26,68 @@ def prime_cfg():
 
 # The wait-set walk, pinned on the five canonical shapes.
 
+def walk(bcur, bbset, cfg):
+    """The blocks of `bbset` that `bcur`'s successors reach first."""
+    succs = ir.successor_map(cfg)
+    return wait_set_query(succs, frozenset(bbset))(succs[bcur])
+
+
+def entry_wait(bbset, cfg):
+    """The same query for a virtual node whose sole successor is the entry."""
+    return wait_set_query(ir.successor_map(cfg), frozenset(bbset))((cfg.entry,))
+
+
 def test_walk_linear_skips_out_of_set_blocks():
     cfg = chain(5)  # E=0, A=1, B=2, C=3, X=4
-    assert get_immediate_successors(1, {1, 3}, cfg) == {3}
+    assert walk(1, {1, 3}, cfg) == {3}
 
 
 def test_walk_direct_successor_in_set():
     cfg = chain(2)
-    assert get_immediate_successors(0, {0, 1}, cfg) == {1}
+    assert walk(0, {0, 1}, cfg) == {1}
 
 
 def test_walk_from_exit_is_empty():
     cfg = chain(5)
     for bbset in ({0}, {4}, {0, 1, 2, 3, 4}, set()):
-        assert get_immediate_successors(4, bbset, cfg) == set()
+        assert walk(4, bbset, cfg) == set()
 
 
 def test_walk_self_loop_finds_itself():
     cfg = two_loop()
-    assert get_immediate_successors(0, {0}, cfg) == {0}
+    assert walk(0, {0}, cfg) == {0}
 
 
 def test_walk_diamond_converges():
     cfg = diamond()
-    assert get_immediate_successors(0, {0, 3}, cfg) == {3}
+    assert walk(0, {0, 3}, cfg) == {3}
 
 
 def test_walk_full_set_equals_successors():
     cfg = diamond()
     everything = set(range(cfg.n))
     for b in range(cfg.n):
-        assert get_immediate_successors(b, everything, cfg) == ir.successors(cfg, b)
+        assert walk(b, everything, cfg) == ir.successors(cfg, b)
 
 
 def test_walk_empty_set_is_empty():
     cfg = diamond()
     for b in range(cfg.n):
-        assert get_immediate_successors(b, set(), cfg) == set()
-
-
-def test_walk_rejects_unknown_block():
-    with pytest.raises(ValueError):
-        get_immediate_successors(9, {0}, chain(2))
+        assert walk(b, set(), cfg) == set()
 
 
 def test_initial_wait_set_entry_owned():
     cfg = diamond()
-    assert initial_wait_set({0, 3}, cfg) == {0}
+    assert entry_wait({0, 3}, cfg) == {0}
 
 
 def test_initial_wait_set_empty_partition():
-    assert initial_wait_set(set(), diamond()) == set()
+    assert entry_wait(set(), diamond()) == set()
 
 
 def test_initial_wait_set_skips_to_first_owned():
     cfg = chain(3)
-    assert initial_wait_set({2}, cfg) == {2}
+    assert entry_wait({2}, cfg) == {2}
 
 
 # Partitioning.
@@ -176,15 +180,6 @@ def test_wait_sets_never_contain_foreign_blocks():
             assert ws.flags <= tcfg.owned_blocks
 
 
-def test_guard_layout():
-    layout = GuardLayout(16)
-    assert layout.slots == 17
-    assert layout.done_index == 16
-    assert layout.stride == 64
-    with pytest.raises(ValueError):
-        GuardLayout(4, stride=0)
-
-
 def test_check_bijection_flags_double_ownership():
     prog = obfuscate(chain(4), 2, seed=3)
     prog.threads[0].owned_blocks = frozenset(range(4))
@@ -220,17 +215,16 @@ def test_program_json_round_trip():
     again = program_from_json(text, cfg)
     assert again.partition == prog.partition
     assert again.threads == prog.threads
-    assert again.guard_layout == prog.guard_layout
 
 
 def test_program_json_has_documented_fields():
     doc = json.loads(program_to_json(obfuscate(prime_cfg(), 2, seed=1)))
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["source_name"] == "prime"
     assert doc["m"] == 2
     assert doc["n"] == 16
     assert doc["seed"] == 1
-    assert doc["stride"] == 64
+    assert "stride" not in doc
     assert doc["prng"] == "splitmix64"
     assert len(doc["assign"]) == 16
     assert len(doc["threads"]) == 2
@@ -255,14 +249,20 @@ def test_program_json_rejects_tampered_wait_sets():
 def test_program_json_rejects_unknown_version():
     cfg = prime_cfg()
     doc = json.loads(program_to_json(obfuscate(cfg, 2, seed=1)))
-    doc["version"] = 99
-    with pytest.raises(ValueError):
-        program_from_json(json.dumps(doc), cfg)
+    for version in (1, 99):  # version 1 carried a guard stride
+        doc["version"] = version
+        with pytest.raises(ValueError):
+            program_from_json(json.dumps(doc), cfg)
 
 
 def test_program_json_rejects_garbage():
     with pytest.raises(ValueError):
         program_from_json("{not json", prime_cfg())
+
+
+def test_program_json_rejects_deep_nesting():
+    with pytest.raises(ValueError):
+        program_from_json("[" * 100_000, prime_cfg())
 
 
 def test_program_json_is_compact():
@@ -295,7 +295,8 @@ def test_program_json_rejects_long_thread_list():
     _refused(doc, cfg)
 
 
-@pytest.mark.parametrize("key", ["source_name", "m", "n", "seed", "stride", "assign", "threads"])
+@pytest.mark.parametrize("key", ["version", "source_name", "m", "n", "seed", "assign",
+                                 "threads"])
 def test_program_json_rejects_missing_key(key):
     cfg, doc = _prime_doc()
     del doc[key]
@@ -314,7 +315,7 @@ def test_program_json_rejects_top_level_list():
     ("m", 0),
     ("n", 16.0),
     ("seed", None),
-    ("stride", "64"),
+    ("seed", "1"),
     ("assign", {"0": 0}),
     ("threads", {}),
 ])

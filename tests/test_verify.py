@@ -5,7 +5,8 @@ import pytest
 from helpers import chain, diamond, two_loop
 from threadsplit import ir, rng
 from threadsplit.kernels import kernel_text
-from threadsplit.obfuscate import build_thread_cfg, get_immediate_successors, partition_blocks
+from threadsplit.obfuscate import build_thread_cfg, partition_blocks, wait_set_query
+from threadsplit.runtime import COMPLETED, run_sequential
 from threadsplit.textfmt import parse
 from threadsplit.verify import (
     Alg1Report,
@@ -31,15 +32,17 @@ def test_oracle_matches_walk_on_canonical_shapes():
     ]
     for cfg, bcur, bbset in cases:
         want = oracle_first_inset_reachable(bcur, bbset, cfg)
-        got = get_immediate_successors(bcur, bbset, cfg)
+        succs = ir.successor_map(cfg)
+        got = wait_set_query(succs, frozenset(bbset))(succs[bcur])
         assert got == want
 
 
 def test_oracle_single_block_graph():
     cfg = chain(1)
+    succs = ir.successor_map(cfg)
     for bbset in (set(), {0}):
         assert oracle_first_inset_reachable(0, bbset, cfg) == set()
-        assert get_immediate_successors(0, bbset, cfg) == set()
+        assert wait_set_query(succs, frozenset(bbset))(succs[0]) == set()
 
 
 def test_exhaustive_chains_with_contiguous_subsets():
@@ -51,11 +54,12 @@ def test_exhaustive_chains_with_contiguous_subsets():
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
                 subset = frozenset(range(lo, hi))
+                first_in_subset = wait_set_query(succs, subset)
                 for bcur in range(n):
                     later = {b for b in subset if b > bcur}
                     want = {min(later)} if later else set()
                     assert oracle_first_inset_reachable(bcur, subset, cfg, succs) == want
-                    assert get_immediate_successors(bcur, subset, cfg, succs) == want
+                    assert first_in_subset(succs[bcur]) == want
 
 
 def test_random_cfg_always_valid():
@@ -64,6 +68,35 @@ def test_random_cfg_always_valid():
         cfg = random_cfg(r)
         assert 1 <= cfg.n <= 12
         assert ir.validate(cfg) == []
+
+
+def _random_runs(graphs: int, cap: int = 200):
+    """`random_cfg` graphs (seed 2024), each with its reference run
+    stopped after `cap` blocks."""
+    r = rng.Rng(2024)
+    for _ in range(graphs):
+        cfg = random_cfg(r)
+        yield cfg, run_sequential(cfg, max_steps=cap)
+
+
+def test_random_cfg_branches_take_both_arms():
+    taken = {True: 0, False: 0}
+    for cfg, trace in _random_runs(100):
+        seq = trace.block_sequence()
+        for a, b in zip(seq, seq[1:]):
+            term = cfg.blocks[a].term
+            if isinstance(term, ir.Branch) and term.iftrue != term.iffalse:
+                taken[b == term.iftrue] += 1
+    assert min(taken.values()) > sum(taken.values()) / 3
+
+
+def test_random_cfgs_that_complete_pass_equivalence():
+    config = VerifyConfig(m_values=(1, 2, 3), partition_seeds=3, schedule_seeds=2)
+    completed = [cfg for cfg, trace in _random_runs(300) if trace.status == COMPLETED]
+    assert len(completed) > 100
+    for cfg in completed:
+        report = check_equivalence(cfg, config)
+        assert report.ok, report.summary()
 
 
 def test_check_algorithm1_small_run():
@@ -115,17 +148,6 @@ def test_verify_files_with_oracle_trials():
     assert report.alg1 is not None and report.alg1.ok
     assert report.failed == 0
     assert report.passed == len(report.cases)
-
-
-def test_verify_files_loads_corpus_from_config(tmp_path):
-    path = tmp_path / "evens.cfg"
-    path.write_text(kernel_text("evens"))
-    config = VerifyConfig(m_values=(1,), partition_seeds=1, schedule_seeds=1,
-                          corpus=(str(path),))
-    report = verify_files(config=config, alg1_trials=0)
-    assert report.ok
-    assert report.alg1 is None
-    assert {c.program for c in report.cases} == {"evens"}
 
 
 def test_verify_config_validates_counts():
