@@ -19,7 +19,6 @@ from .runtime import (
     ExecutionTrace,
     Mutation,
     Schedule,
-    benchmark,
     run_obfuscated,
     run_sequential,
 )
@@ -33,7 +32,7 @@ __all__ = [
     "check_bijection", "count_combinations", "obfuscate", "partition_blocks",
     "program_from_json", "program_to_json",
     "ExecutionTrace", "Mutation", "Schedule",
-    "benchmark", "run_obfuscated", "run_sequential",
+    "run_obfuscated", "run_sequential",
     "ParseError", "emit_dot_cfg", "emit_dot_thread", "format_cfg", "parse",
     "VerifyConfig", "VerifyReport", "check_algorithm1", "check_equivalence", "verify_files",
 ]

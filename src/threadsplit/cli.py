@@ -1,12 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification or benchmark failure, 2 usage,
-file, or parse error, 3 program trapped, 4 deadlock.
+Exit codes: 0 success, 1 verification failed, 2 usage, file, or parse
+error, 3 program trapped, 4 deadlock.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,10 +27,8 @@ from .runtime import (
     DEFAULT_STEP_BUDGET,
     RANDOM,
     ROUND_ROBIN,
-    SLOWDOWN_BAND,
     TRAPPED,
     Schedule,
-    benchmark,
     run_obfuscated,
     run_sequential,
     trace_to_json,
@@ -90,6 +89,18 @@ def _write_text(path: str | Path, text: str) -> None:
         raise CliError(f"cannot write {path}: {e.strerror or e}")
 
 
+def _format_count(m: int, n: int) -> str:
+    """m**n in full, or `m^n` when it has more digits than Python turns
+    into text (0: no limit, as before Python 3.10.7). The digit count
+    comes from n*log10(m) before any power is built, so a huge n answers
+    at once; capping n keeps it a float, and at m >= 2 the cap alone is
+    past the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and m > 1 and min(n, 4 * limit) * math.log10(m) >= limit:
+        return f"{m}^{n} (more than {limit} digits, too long to print)"
+    return str(count_combinations(m, n))
+
+
 def cmd_obfuscate(args) -> int:
     cfg = _load_cfg(args.input)
     try:
@@ -99,7 +110,7 @@ def cmd_obfuscate(args) -> int:
     out = args.out or str(Path(args.input).with_suffix(".obf"))
     _write_text(out, program_to_json(prog))
     print(f"{cfg.name}: n={cfg.n} blocks, m={args.m} threads, seed={args.seed}")
-    print(f"possible assignments for this (m, n): {count_combinations(args.m, cfg.n)}")
+    print(f"possible assignments for this (m, n): {_format_count(args.m, cfg.n)}")
     print(f"wrote {out}")
     return 0
 
@@ -178,29 +189,9 @@ def cmd_dot(args) -> int:
 
 def cmd_count(args) -> int:
     try:
-        print(count_combinations(args.m, args.n))
+        print(_format_count(args.m, args.n))
     except ValueError as e:
         raise CliError(str(e))
-    return 0
-
-
-def cmd_bench(args) -> int:
-    cfg = _load_cfg(args.input)
-    try:
-        prog = obfuscate(cfg, args.m, args.seed)
-    except ValueError as e:
-        raise CliError(str(e))
-    try:
-        report = benchmark(cfg, prog, repeats=args.repeats, concurrent=args.mode == "conc")
-    except ValueError as e:
-        raise CliError(str(e))
-    except RuntimeError as e:
-        raise CliError(str(e), code=1)
-    print(f"{cfg.name}: n={cfg.n}, m={args.m}, mode={report.mode}, repeats={report.repeats}")
-    print(f"sequential median: {report.seq_time * 1e3:.3f} ms")
-    print(f"obfuscated median: {report.conc_time * 1e3:.3f} ms")
-    print(f"slowdown: {report.slowdown:.1f}x (expected band {SLOWDOWN_BAND}, "
-          "hardware-dependent)")
     return 0
 
 
@@ -258,14 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("bench", help="compare original vs obfuscated wall-clock time")
-    p.add_argument("-i", "--input", required=True, help="source .cfg file")
-    p.add_argument("-m", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--mode", choices=("conc", "sched"), default="conc")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -99,14 +99,6 @@ class Cfg:
     def n(self) -> int:
         return len(self.blocks)
 
-    @property
-    def exit(self) -> int:
-        """Id of the unique Halt block. Call validate() first on untrusted input."""
-        halts = [b.id for b in self.blocks if isinstance(b.term, Halt)]
-        if len(halts) != 1:
-            raise ValueError(f"cfg {self.name!r} has {len(halts)} halt blocks, expected 1")
-        return halts[0]
-
 
 def successors(cfg: Cfg, b: int) -> set[int]:
     """Successor block ids of `b`: {target} for jump, {iftrue, iffalse} for

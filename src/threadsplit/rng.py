@@ -37,6 +37,3 @@ class Rng:
     def chance(self, p: float) -> bool:
         """True with probability p."""
         return self.next_u64() < p * (1 << 64)
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

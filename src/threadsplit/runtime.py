@@ -37,7 +37,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from statistics import median
 
 from . import ir, rng
 from .ir import BinOp, Branch, Cfg, ConstAssign, Jump, Print
@@ -346,59 +345,6 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     for th in workers:
         th.join()
     return core.trace
-
-
-# Published measurements for this transformation report a slowdown of one
-# to two orders of magnitude; actual cost is hardware- and program-dependent.
-SLOWDOWN_BAND = "10x-100x"
-
-
-@dataclass
-class BenchReport:
-    """Wall-clock comparison of the original vs the obfuscated program."""
-
-    mode: str
-    repeats: int
-    seq_samples: list[float]
-    obf_samples: list[float]
-    seq_time: float
-    conc_time: float
-    slowdown: float
-
-
-def benchmark(cfg: Cfg, prog: ObfuscatedProgram, inputs: dict[str, int] | None = None,
-              repeats: int = 3, concurrent: bool = True,
-              sched: Schedule | None = None) -> BenchReport:
-    """Median wall-clock times over `repeats` runs of each mode, and the
-    slowdown ratio obfuscated/sequential."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    seq_samples, obf_samples = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        seq_trace = run_sequential(cfg, inputs)
-        seq_samples.append(time.perf_counter() - t0)
-        _require_completed(seq_trace, "sequential")
-        t0 = time.perf_counter()
-        obf_trace = run_obfuscated(prog, inputs, sched=sched, concurrent=concurrent)
-        obf_samples.append(time.perf_counter() - t0)
-        _require_completed(obf_trace, "obfuscated")
-    seq_time = median(seq_samples)
-    conc_time = median(obf_samples)
-    return BenchReport(
-        mode="concurrent" if concurrent else "scheduled",
-        repeats=repeats,
-        seq_samples=seq_samples,
-        obf_samples=obf_samples,
-        seq_time=seq_time,
-        conc_time=conc_time,
-        slowdown=conc_time / max(seq_time, 1e-9),
-    )
-
-
-def _require_completed(trace: ExecutionTrace, what: str) -> None:
-    if trace.status != COMPLETED:
-        raise RuntimeError(f"{what} run did not complete: {trace.status}")
 
 
 def trace_to_json(trace: ExecutionTrace) -> str:

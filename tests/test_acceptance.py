@@ -14,7 +14,6 @@ import pytest
 import threadsplit as ts
 from dotcheck import parse_dot
 from threadsplit.kernels import KERNELS, kernel_text
-from threadsplit.runtime import SLOWDOWN_BAND
 from threadsplit.textfmt import emit_dot_cfg, emit_dot_thread
 from threadsplit.verify import (
     VerifyConfig,
@@ -116,13 +115,7 @@ def test_concurrent_smoke(corpus):
         trace = ts.run_obfuscated(prog, concurrent=True)
         if trace.status != "completed" or trace.output != ref.output:
             mismatches += 1
-    bench = ts.benchmark(cfg, prog, repeats=5, concurrent=True)
-    ok = mismatches == 0 and bench.slowdown >= 1.0
-    _report(
-        "concurrent-smoke", ok,
-        f"{mismatches} output mismatches in 5 runs; slowdown {bench.slowdown:.0f}x, "
-        f"expected band {SLOWDOWN_BAND} (reported, not asserted)",
-    )
+    _report("concurrent-smoke", mismatches == 0, f"{mismatches} output mismatches in 5 runs")
 
 
 def test_round_trip_and_dot(corpus):

@@ -1,11 +1,18 @@
 import json
+import re
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
 from dotcheck import parse_dot
-from helpers import run_child
-from threadsplit.cli import main
+from helpers import chain, run_child
+from threadsplit.cli import build_parser, main
 from threadsplit.kernels import kernel_text
+from threadsplit.textfmt import format_cfg
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 INPUT_ONLY = (
     "func inp {\n"
@@ -61,6 +68,20 @@ def test_count_rejects_bad_m(capsys):
     assert main(["count", "0", "5"]) == 2
 
 
+@pytest.mark.parametrize("n", [5000, 10_000_000])
+def test_count_too_long_to_print_is_m_caret_n(capsys, n):
+    assert main(["count", "10", str(n)]) == 0
+    assert capsys.readouterr().out.startswith(f"10^{n} (")
+
+
+def test_count_prints_in_full_up_to_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["count", "10", str(limit - 1)]) == 0
+    assert capsys.readouterr().out.strip() == "1" + "0" * (limit - 1)
+    assert main(["count", "10", str(limit)]) == 0
+    assert capsys.readouterr().out.startswith(f"10^{limit} (")
+
+
 def test_no_arguments_is_usage_error():
     assert main([]) == 2
 
@@ -101,6 +122,14 @@ def test_obfuscate_writes_version_2_without_stride(kernels, capsys, tmp_path):
 
 def test_obfuscate_rejects_stride_option(kernels):
     assert main(["obfuscate", "-i", kernels["evens"], "--stride", "8"]) == 2
+
+
+def test_obfuscate_with_count_too_long_to_print(capsys, tmp_path):
+    src = tmp_path / "long.cfg"
+    src.write_text(format_cfg(chain(4301)))
+    assert main(["obfuscate", "-i", str(src), "-m", "10"]) == 0
+    assert "possible assignments for this (m, n): 10^4301 (" in capsys.readouterr().out
+    assert (tmp_path / "long.obf").exists()
 
 
 def test_parse_error_reports_position(capsys, tmp_path):
@@ -281,14 +310,18 @@ def test_dot_m1_writes_two_files(kernels, tmp_path):
     assert len(list(out_dir.glob("*.dot"))) == 2
 
 
-def test_bench_rejects_zero_repeats(kernels):
-    assert main(["bench", "-i", kernels["fib"], "--repeats", "0"]) == 2
+def test_bench_is_not_a_command(kernels):
+    assert main(["bench", "-i", kernels["fib"]]) == 2
 
 
-def test_bench_reports_slowdown(kernels, capsys):
-    rc = main(["bench", "-i", kernels["fib"], "-m", "2", "--repeats", "1",
-               "--mode", "sched"])
-    captured = capsys.readouterr().out
-    assert rc == 0
-    assert "slowdown" in captured
-    assert "10x-100x" in captured
+def test_readme_commands_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("threadsplit ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -1,7 +1,7 @@
 """Property test for the command line: whatever `.cfg` and `.obf` text
 it is given, `obfuscate`, `run` and `dot` exit with a documented code
-and never raise. Exit code 1 is reserved for a failed verify or bench,
-so none of these commands may return it."""
+and never raise. Exit code 1 is reserved for a failed verify, so none
+of these commands may return it."""
 
 import json
 

@@ -1,5 +1,3 @@
-import pytest
-
 from helpers import chain, diamond, two_loop
 from threadsplit import ir
 from threadsplit.ir import (
@@ -50,12 +48,6 @@ def test_successors_of_branch_two_targets():
 def test_successor_map_matches_pointwise():
     cfg = diamond()
     assert ir.successor_map(cfg) == [ir.successors(cfg, b) for b in range(cfg.n)]
-
-
-def test_exit_property():
-    assert chain(3).exit == 2
-    with pytest.raises(ValueError):
-        two_loop().exit
 
 
 def test_validate_minimal_single_block():

@@ -15,7 +15,6 @@ from threadsplit.runtime import (
     Mutation,
     ObfuscatedProgram,
     Schedule,
-    benchmark,
     run_obfuscated,
     run_sequential,
     _Guards,
@@ -399,19 +398,3 @@ def test_trace_json_shape():
     doc2 = json.loads(trace_to_json(trapped))
     assert doc2["trap_reason"] == "division by zero"
 
-
-def test_benchmark_carries_all_samples():
-    cfg = kernel("fib")
-    prog = obfuscate(cfg, 1, seed=0)
-    report = benchmark(cfg, prog, repeats=5, concurrent=False)
-    assert report.repeats == 5
-    assert len(report.seq_samples) == 5
-    assert len(report.obf_samples) == 5
-    assert report.slowdown >= 1.0
-    assert report.mode == "scheduled"
-
-
-def test_benchmark_rejects_bad_repeats():
-    cfg = kernel("fib")
-    with pytest.raises(ValueError):
-        benchmark(cfg, obfuscate(cfg, 1, 0), repeats=0)

@@ -14,7 +14,6 @@ def test_minimal_one_liner():
     assert cfg.name == "f"
     assert cfg.n == 1
     assert cfg.entry == 0
-    assert cfg.exit == 0
 
 
 def test_block_ids_in_textual_order():
