@@ -140,7 +140,10 @@ def cmd_run(args) -> int:
         print(f"trap: {trace.trap_reason}", file=sys.stderr)
         return 3
     if trace.status == DEADLOCK:
-        print("deadlock: step budget exhausted", file=sys.stderr)
+        if len(trace.records) == args.budget:
+            print("deadlock: step budget exhausted", file=sys.stderr)
+        else:
+            print("deadlock: no worker can advance", file=sys.stderr)
         return 4
     return 0
 

@@ -10,7 +10,9 @@ semantics (undefined variables read as 0):
   monitored after every micro-step. This is the verification vehicle.
 * `run_obfuscated(.., concurrent=True)` - one OS thread per worker,
   spin-waiting on the shared guard flags. CPython's GIL provides the
-  sequentially-consistent memory contract the protocol assumes.
+  sequentially-consistent memory contract the protocol assumes. On
+  Linux each worker lowers its own timer slack to 1 µs when it starts;
+  every worker sleeps 20 µs after polling its wait set in vain.
 
 Protocol: all flags start 0, then the entry block's flag is raised.
 A worker polls its current wait set in ascending block-id order; on
@@ -32,7 +34,9 @@ down, no worker can ever advance: the run ends at once, also as
 
 from __future__ import annotations
 
+import ctypes
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,6 +56,31 @@ DEFAULT_STEP_BUDGET = 10_000_000
 
 ROUND_ROBIN = "round-robin"
 RANDOM = "random"
+
+
+# prctl(2) option that sets the calling thread's timer slack, in ns. It
+# changes that thread alone: threads started later inherit the value of
+# the thread that starts them, so a worker's setting never reaches the
+# caller of `run_obfuscated`.
+_PR_SET_TIMERSLACK = 29
+_WORKER_TIMER_SLACK_NS = 1000
+
+
+def _lookup_prctl():
+    """libc's prctl, or None off Linux or where it does not resolve."""
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return None
+    # prctl(int option, ...) reads its variadic arguments as unsigned long.
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
+_PRCTL = _lookup_prctl()
 
 
 class Mutation(Enum):
@@ -86,7 +115,7 @@ class ExecutionTrace:
     output: list[int] = field(default_factory=list)
     status: str = COMPLETED
     trap_reason: str | None = None
-    flag_violations: int = 0  # micro-steps observed with >1 data flag up
+    flag_violations: int = 0  # sched: micro-steps, conc: handoffs, with >1 data flag up
 
     def block_sequence(self) -> list[int]:
         return [block for _, _, block in self.records]
@@ -295,8 +324,9 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
 
 def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     core = _Guards(prog, inputs, budget)
-    flags, done, waits, handoff = core.flags, core.done, core.waits, core.handoff
-    records = core.trace.records
+    flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
+    records = trace.records
+    prctl = _PRCTL
     # Stop rule as in scheduled mode. A handoff counts only once its
     # successor's flag is up, and a vain poll counts only if no handoff
     # was counted between reading the count before it and taking the
@@ -310,17 +340,22 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
 
     def worker(w: int):
         nonlocal handoffs, idle
+        if prctl is not None:
+            prctl(_PR_SET_TIMERSLACK, _WORKER_TIMER_SLACK_NS, 0, 0, 0)
         while True:
             seen = handoffs
             for b in waits[w]:
                 if flags[b]:
                     # Only the worker holding the one raised flag appends
                     # records, so it numbers them 0, 1, 2, ...
-                    if handoff(w, b, len(records)) < 0:
+                    up = handoff(w, b, len(records))
+                    if up < 0:
                         return
                     with lock:
                         idle = 0
                         handoffs += 1
+                        if up > 1:
+                            trace.flag_violations += 1
                     break
             else:
                 if flags[done]:
@@ -332,11 +367,15 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
                             if idle == everyone:
                                 core.stop(DEADLOCK)
                                 return
-                # A short real sleep parks this spinner so the active
-                # worker gets the GIL immediately; sleep(0) would make it
-                # wait out the interpreter's switch interval on every
-                # handoff.
-                time.sleep(0.000001)
+                # A real sleep parks this spinner so the active worker
+                # gets the GIL; sleep(0) would make it wait out the
+                # interpreter's switch interval (5 ms) on every handoff.
+                # 20 µs outlasts the wake-up of the worker whose flag was
+                # just raised: a spinner that wakes first takes the GIL
+                # back, and that worker waits out the switch interval. The
+                # 1 µs timer slack keeps the kernel from stretching the
+                # sleep (by up to 50 µs by default).
+                time.sleep(0.00002)
 
     workers = [threading.Thread(target=worker, args=(w,), name=f"worker-{w}")
                for w in range(prog.m)]

@@ -8,8 +8,10 @@ import pytest
 
 from dotcheck import parse_dot
 from helpers import chain, run_child
+from threadsplit import cli
 from threadsplit.cli import build_parser, main
 from threadsplit.kernels import kernel_text
+from threadsplit.runtime import DEADLOCK, ExecutionTrace
 from threadsplit.textfmt import format_cfg
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -211,7 +213,21 @@ def test_run_deadlock_exit_code(capsys, tmp_path):
     src.write_text(SPIN)
     rc = main(["run", "-i", str(src), "--budget", "1000"])
     assert rc == 4
-    assert "deadlock" in capsys.readouterr().err
+    assert "deadlock: step budget exhausted" in capsys.readouterr().err
+
+
+def test_run_names_a_stop_before_the_budget(kernels, capsys, monkeypatch, tmp_path):
+    obf = str(tmp_path / "fib.obf")
+    assert main(["obfuscate", "-i", kernels["fib"], "-m", "2", "-o", obf]) == 0
+    capsys.readouterr()
+    stopped = ExecutionTrace(records=[(0, 0, 0)], status=DEADLOCK)
+    monkeypatch.setattr(cli, "run_obfuscated", lambda *args, **kwargs: stopped)
+    rc = main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "sched",
+               "--budget", "1000"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "deadlock: no worker can advance" in err
+    assert "budget" not in err
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -222,7 +238,7 @@ def test_run_conc_budget_stops_endless_loop(tmp_path, m):
     proc = run_child("-m", "threadsplit.cli", "run", "-i", str(src), "--obf", str(obf),
                      "--mode", "conc", "--budget", "1000", "--trace-out", str(trace))
     assert proc.returncode == 4
-    assert "deadlock" in proc.stderr
+    assert "deadlock: step budget exhausted" in proc.stderr
     # The budget counts executed blocks, as in seq mode.
     assert len(json.loads(trace.read_text())["records"]) == 1000
 

@@ -1,8 +1,12 @@
+import ctypes
 import json
+import sys
+import threading
 
 import pytest
 
 from helpers import chain, run_child
+from threadsplit import runtime
 from threadsplit.ir import INT_MAX, INT_MIN
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import Partition, build_thread_cfg, obfuscate
@@ -315,6 +319,46 @@ def test_concurrent_matches_sequential_output():
         assert trace.output == ref.output
 
 
+def _timer_slack_ns() -> int:
+    """The calling thread's timer slack, read with PR_GET_TIMERSLACK."""
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    prctl.restype = ctypes.c_int
+    return prctl(30, 0, 0, 0, 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux-only")
+def test_concurrent_timer_slack_stays_per_thread(monkeypatch):
+    # Each worker lowers its own slack ...
+    real, seen = runtime._PRCTL, {}
+
+    def spy(*args):
+        rc = real(*args)
+        seen[threading.get_ident()] = _timer_slack_ns()
+        return rc
+
+    monkeypatch.setattr(runtime, "_PRCTL", spy)
+    before = _timer_slack_ns()
+    trace = run_obfuscated(obfuscate(kernel("prime"), 2, seed=0), concurrent=True)
+    assert trace.status == COMPLETED
+    assert len(seen) == 2 and threading.get_ident() not in seen
+    assert set(seen.values()) == {1000}
+    # ... and the caller's stays as it was.
+    assert _timer_slack_ns() == before
+
+
+def test_concurrent_without_prctl_matches_sequential(monkeypatch):
+    monkeypatch.setattr(runtime, "_PRCTL", None)
+    for name in KERNELS:
+        cfg = kernel(name)
+        ref = run_sequential(cfg)
+        for m in (2, 3):
+            trace = run_obfuscated(obfuscate(cfg, m, seed=8), concurrent=True)
+            assert (trace.status, trace.output, trace.block_sequence()) == (
+                ref.status, ref.output, ref.block_sequence())
+            assert trace.flag_violations == 0
+
+
 # More workers than cores, and a switch interval far below the default so
 # the threads interleave at many more points; the child process exits
 # with its switch interval. A lost handoff count or a worker counted idle
@@ -336,6 +380,8 @@ for name in KERNELS:
             if (trace.status, trace.output, trace.block_sequence()) != (
                     ref.status, ref.output, ref.block_sequence()):
                 print(name, m, seed, trace.status, len(trace.records))
+            if trace.flag_violations:
+                print(name, m, seed, "flag_violations", trace.flag_violations)
 """
 
 
