@@ -22,6 +22,7 @@ from .obfuscate import (
     program_to_json,
 )
 from .runtime import (
+    BUDGET,
     COMPLETED,
     DEADLOCK,
     DEFAULT_STEP_BUDGET,
@@ -140,7 +141,7 @@ def cmd_run(args) -> int:
         print(f"trap: {trace.trap_reason}", file=sys.stderr)
         return 3
     if trace.status == DEADLOCK:
-        if len(trace.records) == args.budget:
+        if trace.reason == BUDGET:
             print("deadlock: step budget exhausted", file=sys.stderr)
         else:
             print("deadlock: no worker can advance", file=sys.stderr)

@@ -6,13 +6,12 @@ semantics (undefined variables read as 0):
 * `run_sequential` - the reference interpreter over the original cfg.
 * `run_obfuscated(.., concurrent=False)` - all workers advanced one
   micro-step at a time (one wait-poll or one block execution) under a
-  deterministic schedule, with the at-most-one-raised-flag invariant
-  monitored after every micro-step. This is the verification vehicle.
+  deterministic schedule. This is the verification vehicle.
 * `run_obfuscated(.., concurrent=True)` - one OS thread per worker,
-  spin-waiting on the shared guard flags. CPython's GIL provides the
-  sequentially-consistent memory contract the protocol assumes. On
-  Linux each worker lowers its own timer slack to 1 µs when it starts;
-  every worker sleeps 20 µs after polling its wait set in vain.
+  polling the shared guard flags. CPython's GIL provides the
+  sequentially-consistent memory contract the protocol assumes. A
+  worker that polls its wait set in vain parks until a flag of its own
+  or DONE is raised, then polls its whole wait set again.
 
 Protocol: all flags start 0, then the entry block's flag is raised.
 A worker polls its current wait set in ascending block-id order; on
@@ -22,23 +21,23 @@ against the shared store, then raises the dynamic successor's flag
 set derived for that block. DONE is honored only when no waited data
 flag is up. Traps (division/modulo by zero) raise DONE so every worker
 terminates, and the trace reports status "trapped". Both obfuscated
-modes drive this one handoff step (`_Guards`).
+modes drive this one handoff step (`_Guards`), which also checks the
+at-most-one-raised-flag invariant: a handoff that still finds a data
+flag up once it has cleared its own counts in `flag_violations`.
 
 One stop rule holds in every mode: the budget counts executed blocks,
 and a run that executes that many without halting ends with status
-"deadlock". Polling changes no state, so once every live worker has
-polled its whole wait set in vain since the last handoff, with DONE
-down, no worker can ever advance: the run ends at once, also as
-"deadlock".
+"deadlock" (reason "budget"). Polling changes no state, so a worker
+that has polled its whole wait set in vain since a flag of its own was
+last raised cannot advance until another one is. Once every worker is
+in that state with DONE down, no worker can ever advance: the run ends
+at once, also as "deadlock" (reason "no-flag").
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
-import sys
 import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,37 +49,17 @@ COMPLETED = "completed"
 TRAPPED = "trapped"
 DEADLOCK = "deadlock"
 
+# Why a run stopped; a trace's status follows from it.
+TRAP = "trap"
+BUDGET = "budget"
+NO_FLAG = "no-flag"
+
 SEQ = "seq"  # worker name used by the sequential interpreter
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
 ROUND_ROBIN = "round-robin"
 RANDOM = "random"
-
-
-# prctl(2) option that sets the calling thread's timer slack, in ns. It
-# changes that thread alone: threads started later inherit the value of
-# the thread that starts them, so a worker's setting never reaches the
-# caller of `run_obfuscated`.
-_PR_SET_TIMERSLACK = 29
-_WORKER_TIMER_SLACK_NS = 1000
-
-
-def _lookup_prctl():
-    """libc's prctl, or None off Linux or where it does not resolve."""
-    if not sys.platform.startswith("linux"):
-        return None
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, AttributeError):
-        return None
-    # prctl(int option, ...) reads its variadic arguments as unsigned long.
-    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
-    prctl.restype = ctypes.c_int
-    return prctl
-
-
-_PRCTL = _lookup_prctl()
 
 
 class Mutation(Enum):
@@ -113,9 +92,13 @@ class ExecutionTrace:
 
     records: list[tuple[int, int | str, int]] = field(default_factory=list)
     output: list[int] = field(default_factory=list)
-    status: str = COMPLETED
+    reason: str = COMPLETED  # COMPLETED, TRAP, BUDGET or NO_FLAG
     trap_reason: str | None = None
-    flag_violations: int = 0  # sched: micro-steps, conc: handoffs, with >1 data flag up
+    flag_violations: int = 0  # handoffs that found a data flag up after clearing theirs
+
+    @property
+    def status(self) -> str:
+        return {COMPLETED: COMPLETED, TRAP: TRAPPED}.get(self.reason, DEADLOCK)
 
     def block_sequence(self) -> list[int]:
         return [block for _, _, block in self.records]
@@ -188,12 +171,12 @@ def run_sequential(cfg: Cfg, inputs: dict[str, int] | None = None,
         try:
             nxt = _exec_block(blocks[cur], store, trace.output)
         except Trap as t:
-            trace.status, trace.trap_reason = TRAPPED, str(t)
+            trace.reason, trace.trap_reason = TRAP, str(t)
             return trace
         if nxt is None:
             return trace
         cur = nxt
-    trace.status = DEADLOCK
+    trace.reason = BUDGET
     return trace
 
 
@@ -235,43 +218,44 @@ class _Guards:
         wrong_successor = mutation is Mutation.WRONG_SUCCESSOR
         raised = 1  # data flags up
 
-        def stop(status: str) -> None:
+        def stop(reason: str) -> None:
             """End the run: every worker exits once it finds no waited flag."""
-            trace.status = status
+            trace.reason = reason
             flags[done] = 1
 
         def handoff(w: int, b: int, step: int) -> int:
             """Worker `w` found flag `b` up: clear it, record (step, w, b),
-            run the block, raise its successor's flag (DONE after the exit
-            block or a trap) and adopt the block's wait list. Returns how
-            many data flags are up, or -1, having stopped the run as a
-            deadlock, if the budget allows no further block."""
+            adopt the block's wait list, run the block and raise its
+            successor's flag, or DONE after the exit block or a trap.
+            Returns the flag raised, or -1, having stopped the run, if the
+            budget allows no further block."""
             nonlocal raised
             if len(records) == budget:
-                stop(DEADLOCK)
+                stop(BUDGET)
                 return -1
             if clear:
                 flags[b] = 0
                 raised -= 1
+            if raised:
+                # Counted while no other worker can be changing the count.
+                trace.flag_violations += 1
             records.append((step, w, b))
+            waits[w] = wait_after[b]
             try:
                 nxt = _exec_block(blocks[b], store, output)
             except Trap as t:
                 trace.trap_reason = str(t)
-                stop(TRAPPED)
-            else:
-                if nxt is None:
-                    flags[done] = 1
-                elif raise_next:
-                    if wrong_successor:
-                        nxt = (nxt + 1) % len(blocks)
-                    if not flags[nxt]:
-                        # Counted before the flag goes up, while no other
-                        # worker can be changing the count.
-                        raised += 1
-                        flags[nxt] = 1
-            waits[w] = wait_after[b]
-            return raised
+                stop(TRAP)
+                return done
+            if nxt is None:
+                stop(COMPLETED)
+                return done
+            if wrong_successor:
+                nxt = (nxt + 1) % len(blocks)
+            if raise_next and not flags[nxt]:
+                raised += 1  # before the flag goes up, as above
+                flags[nxt] = 1
+            return nxt
 
         # Closures, not methods, so that a step costs one plain call; they
         # do not refer to self, so a finished run is freed without waiting
@@ -287,7 +271,6 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
     # Stop rule: bit w of `idle` is set once worker w has polled in vain
     # since the last handoff; when every bit is set, no worker can advance.
     idle, everyone = 0, (1 << prog.m) - 1
-    violating = False
     chooser = rng.Rng(sched.seed) if sched.mode == RANDOM else None
     pos = 0
     step = 0
@@ -300,10 +283,8 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
         w = live[pos]
         for b in waits[w]:
             if flags[b]:
-                up = handoff(w, b, step)
-                if up < 0:
+                if handoff(w, b, step) < 0:
                     return trace
-                violating = up > 1
                 idle = 0
                 pos += 1
                 break
@@ -313,12 +294,10 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
             else:
                 idle |= 1 << w
                 if idle == everyone:
-                    core.stop(DEADLOCK)
+                    core.stop(NO_FLAG)
                     live.clear()
                 pos += 1
         step += 1
-        if violating:
-            trace.flag_violations += 1
     return trace
 
 
@@ -326,56 +305,64 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     core = _Guards(prog, inputs, budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
     records = trace.records
-    prctl = _PRCTL
-    # Stop rule as in scheduled mode. A handoff counts only once its
-    # successor's flag is up, and a vain poll counts only if no handoff
-    # was counted between reading the count before it and taking the
-    # lock after it, so a worker that is running or has a flag coming
-    # never counts as idle. The lock keeps the next worker's count from
-    # losing this one; reading `idle` before taking it only skips polls
-    # already counted.
+    owner = [prog.partition.assign[b] for b in range(done)]
+    # A worker parks on its own lock, which it holds from its start;
+    # releasing the lock wakes the worker to poll again. Releasing a lock
+    # that is not held fails: its owner has a wake pending already.
+    parks = [threading.Lock() for _ in range(prog.m)]
+
+    def wake(*ws: int) -> None:
+        for v in ws:
+            try:
+                parks[v].release()
+            except RuntimeError:
+                pass
+
+    # Stop rule, per worker: bit w of `idle` is set once worker w polls
+    # in vain with `raises[w]`, the count of raises of its flags, the same
+    # before the poll and under the lock after it. A handoff counts its
+    # raise once the flag is up, and clears the bits of the worker that
+    # ran and of the flag's owner, so a worker that is running or has a
+    # flag coming never counts as idle. Reading `idle` before taking the
+    # lock only skips polls already counted.
     lock = threading.Lock()
-    handoffs = idle = 0
+    raises = [0] * prog.m
+    idle = 0
     everyone = (1 << prog.m) - 1
 
     def worker(w: int):
-        nonlocal handoffs, idle
-        if prctl is not None:
-            prctl(_PR_SET_TIMERSLACK, _WORKER_TIMER_SLACK_NS, 0, 0, 0)
+        nonlocal idle
+        park, me = parks[w], 1 << w
+        park.acquire()
         while True:
-            seen = handoffs
+            seen = raises[w]
             for b in waits[w]:
                 if flags[b]:
                     # Only the worker holding the one raised flag appends
                     # records, so it numbers them 0, 1, 2, ...
-                    up = handoff(w, b, len(records))
-                    if up < 0:
+                    to = handoff(w, b, len(records))
+                    if to < 0 or to == done:
+                        wake(*range(prog.m))
                         return
+                    v = owner[to]
                     with lock:
-                        idle = 0
-                        handoffs += 1
-                        if up > 1:
-                            trace.flag_violations += 1
+                        raises[v] += 1
+                        idle &= ~(me | 1 << v)
+                    if v != w:
+                        wake(v)
                     break
             else:
                 if flags[done]:
                     return
-                if not idle >> w & 1:
+                if not idle & me:
                     with lock:
-                        if seen == handoffs:
-                            idle |= 1 << w
+                        if raises[w] == seen:
+                            idle |= me
                             if idle == everyone:
-                                core.stop(DEADLOCK)
+                                core.stop(NO_FLAG)
+                                wake(*range(prog.m))
                                 return
-                # A real sleep parks this spinner so the active worker
-                # gets the GIL; sleep(0) would make it wait out the
-                # interpreter's switch interval (5 ms) on every handoff.
-                # 20 µs outlasts the wake-up of the worker whose flag was
-                # just raised: a spinner that wakes first takes the GIL
-                # back, and that worker waits out the switch interval. The
-                # 1 µs timer slack keeps the kernel from stretching the
-                # sleep (by up to 50 µs by default).
-                time.sleep(0.00002)
+                park.acquire()
 
     workers = [threading.Thread(target=worker, args=(w,), name=f"worker-{w}")
                for w in range(prog.m)]
@@ -393,6 +380,8 @@ def trace_to_json(trace: ExecutionTrace) -> str:
         ],
         "output": list(trace.output),
         "status": trace.status,
+        "reason": trace.reason,
+        "flag_violations": trace.flag_violations,
     }
     if trace.trap_reason is not None:
         doc["trap_reason"] = trace.trap_reason

@@ -26,7 +26,8 @@ One regular expression splits the text into plain string tokens, and a
 token's kind is read off its text. Line and column are worked out only
 for a ParseError, by scanning again up to the offending token. Errors
 found after parsing (unknown labels aside) come from ir.validate and
-are reported at 1:1.
+are reported at the label of the first block the first error names,
+or at 1:1 when it names none.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ _TOKEN_RE = re.compile(
 )
 _PUNCT = frozenset(("<=", "==", "!=", "\n", "")) | frozenset("=+-*/%<,:{}")
 _END_OF_STATEMENT = ("block", "}", "")
+# The first block id an ir.validate message names: "block 3: ...",
+# "multiple exits: blocks [1, 2] ...".
+_NAMED_BLOCK_RE = re.compile(r"\bblocks? \[?(\d+)")
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,7 @@ def parse(text: str) -> Cfg:
 
     blocks: list[BasicBlock] = []
     labels: dict[str, int] = {}
+    label_toks: list[int] = []  # token index of each block's label
     # Terminator targets are labels until the whole function is read:
     # (block, branch condition or None for a jump, [(label, token index)]).
     pending: list[tuple[BasicBlock, str | None, list[tuple[str, int]]]] = []
@@ -174,6 +179,7 @@ def parse(text: str) -> Cfg:
         p.expect(":")
         blk = BasicBlock(id=len(blocks), label=label)
         labels[label] = blk.id
+        label_toks.append(k)
         _parse_statements(p, blk, pending)
         blocks.append(blk)
 
@@ -192,7 +198,9 @@ def parse(text: str) -> Cfg:
     cfg = Cfg(name=name, blocks=blocks)
     errors = ir.validate(cfg)
     if errors:
-        raise ParseError("; ".join(errors), SourceSpan(1, 1))
+        named = _NAMED_BLOCK_RE.search(errors[0])
+        span = p.span(label_toks[int(named[1])]) if named else SourceSpan(1, 1)
+        raise ParseError("; ".join(errors), span)
     return cfg
 
 

@@ -11,7 +11,7 @@ from helpers import chain, run_child
 from threadsplit import cli
 from threadsplit.cli import build_parser, main
 from threadsplit.kernels import kernel_text
-from threadsplit.runtime import DEADLOCK, ExecutionTrace
+from threadsplit.runtime import NO_FLAG, ExecutionTrace
 from threadsplit.textfmt import format_cfg
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -144,6 +144,15 @@ def test_parse_error_reports_position(capsys, tmp_path):
     assert "nowhere" in err
 
 
+def test_validation_error_names_the_block_line(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("func f {\n  block a:\n    jump c\n  block b:\n    halt\n"
+                   "  block c:\n    halt\n}\n")
+    assert main(["run", "-i", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:4:9: error: multiple exits: blocks [1, 2] all halt\n" in err
+
+
 def test_run_seq_fib(kernels, capsys):
     assert main(["run", "-i", kernels["fib"]]) == 0
     assert capsys.readouterr().out.strip() == "55"
@@ -220,7 +229,7 @@ def test_run_names_a_stop_before_the_budget(kernels, capsys, monkeypatch, tmp_pa
     obf = str(tmp_path / "fib.obf")
     assert main(["obfuscate", "-i", kernels["fib"], "-m", "2", "-o", obf]) == 0
     capsys.readouterr()
-    stopped = ExecutionTrace(records=[(0, 0, 0)], status=DEADLOCK)
+    stopped = ExecutionTrace(records=[(0, 0, 0)], reason=NO_FLAG)
     monkeypatch.setattr(cli, "run_obfuscated", lambda *args, **kwargs: stopped)
     rc = main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "sched",
                "--budget", "1000"])

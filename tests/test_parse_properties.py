@@ -97,6 +97,7 @@ def test_overlong_literal_is_a_parse_error():
 
 # Broken programs and the (line, column, message) the parser reports for
 # each, recorded from the character-at-a-time tokenizer this one replaced.
+# An ir.validate error points at the label of the first block it names.
 BROKEN = [
     ("", (1, 1, "expected 'func', got end of input")),
     ("# only a comment", (1, 17, "expected 'func', got end of input")),
@@ -141,7 +142,7 @@ BROKEN = [
     ("func f {\n  block a:  # label\n    x = 1  # one\n    halt  # done\n}\n# tail\nfunc g",
      (7, 1, "trailing input after '}': 'func'")),
     ("func f {\n  block a:\n    halt\n  block b:\n    halt\n}\n",
-     (1, 1, "multiple exits: blocks [0, 1] all halt")),
+     (2, 9, "multiple exits: blocks [0, 1] all halt")),
     ("func f {\n  block a:\n    x = y + -1\n    halt\n}\n",
      (3, 13, "expected variable name, got '-1'")),
     ("func f {\n  block a:\n    x = y -1\n    halt\n}\n",
@@ -151,12 +152,16 @@ BROKEN = [
     ("func f {\n  block a:\n    x = 1 halt\n}\n",
      (3, 11, "expected end of statement, got 'halt'")),
     ("func f {\n  block a:\n    é = 1\n    halt\n}\n",
-     (1, 1, "block 0: invalid variable name 'é'")),
+     (2, 9, "block 0: invalid variable name 'é'")),
     ("func f {\n  block a:\n    x = ٣\n    y = x + ½\n    halt\n}\n",
      (4, 13, "unexpected character '½'")),
     ("func f {\n  block a:\n    x = 1\f\n    halt\n}\n", (3, 10, "unexpected character '\\x0c'")),
     ("func f {\n  block a:\n    jump a\n}\n", (1, 1, "no exit: no block has a halt terminator")),
     ("func f {\n  block a:\n    halt\n}\n}\n", (5, 1, "trailing input after '}': '}'")),
+    ("func f {\n  block a:\n    jump b\n  block b:\n    é = 1\n    halt\n}\n",
+     (4, 9, "block 1: invalid variable name 'é'")),
+    ("func f {\n  block a:\n    halt\n  block b:\n    jump a\n}\n",
+     (4, 9, "block 1 (b) is unreachable from entry")),
 ]
 
 

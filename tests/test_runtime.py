@@ -1,20 +1,19 @@
-import ctypes
 import json
-import sys
-import threading
 
 import pytest
 
 from helpers import chain, run_child
-from threadsplit import runtime
 from threadsplit.ir import INT_MAX, INT_MIN
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import Partition, build_thread_cfg, obfuscate
 from threadsplit.runtime import (
+    BUDGET,
     COMPLETED,
     DEADLOCK,
+    NO_FLAG,
     RANDOM,
     ROUND_ROBIN,
+    TRAP,
     TRAPPED,
     Mutation,
     ObfuscatedProgram,
@@ -209,6 +208,9 @@ def test_budget_counts_executed_blocks_in_every_engine():
 
 # argv[1] is m. The entry block's owner waits on nothing after any of its
 # blocks, so once control comes back to it no worker can ever advance.
+# From m=3 on, some worker runs no block before that: it polls in vain,
+# parks, and no raise wakes it again, so only a stop rule that keeps its
+# idle bit across other workers' handoffs ends the run.
 NO_WAY_BACK = """
 import sys
 from threadsplit.kernels import kernel_text
@@ -222,17 +224,19 @@ for b in owner.per_block_wait:
     owner.per_block_wait[b] = WaitSet(frozenset())
 for concurrent in (False, True):
     trace = run_obfuscated(prog, sched=Schedule(step_budget=10**12), concurrent=concurrent)
-    print(trace.status, len(trace.records))
+    print(trace.status, trace.reason, len(trace.records))
 """
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_run_no_worker_can_advance_stops_at_once(m):
-    proc = run_child("-c", NO_WAY_BACK, str(m))
+    proc = run_child("-X", "dev", "-c", NO_WAY_BACK, str(m))
     assert proc.returncode == 0, proc.stderr
-    (sched_status, sched_blocks), (conc_status, conc_blocks) = (
+    assert proc.stderr == ""
+    (sched_status, sched_reason, sched_blocks), (conc_status, conc_reason, conc_blocks) = (
         line.split() for line in proc.stdout.splitlines())
     assert sched_status == conc_status == DEADLOCK
+    assert sched_reason == conc_reason == NO_FLAG
     # Both engines stop at the same block: the first one nobody waits for.
     assert sched_blocks == conc_blocks
 
@@ -319,36 +323,7 @@ def test_concurrent_matches_sequential_output():
         assert trace.output == ref.output
 
 
-def _timer_slack_ns() -> int:
-    """The calling thread's timer slack, read with PR_GET_TIMERSLACK."""
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
-    prctl.restype = ctypes.c_int
-    return prctl(30, 0, 0, 0, 0)
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux-only")
-def test_concurrent_timer_slack_stays_per_thread(monkeypatch):
-    # Each worker lowers its own slack ...
-    real, seen = runtime._PRCTL, {}
-
-    def spy(*args):
-        rc = real(*args)
-        seen[threading.get_ident()] = _timer_slack_ns()
-        return rc
-
-    monkeypatch.setattr(runtime, "_PRCTL", spy)
-    before = _timer_slack_ns()
-    trace = run_obfuscated(obfuscate(kernel("prime"), 2, seed=0), concurrent=True)
-    assert trace.status == COMPLETED
-    assert len(seen) == 2 and threading.get_ident() not in seen
-    assert set(seen.values()) == {1000}
-    # ... and the caller's stays as it was.
-    assert _timer_slack_ns() == before
-
-
-def test_concurrent_without_prctl_matches_sequential(monkeypatch):
-    monkeypatch.setattr(runtime, "_PRCTL", None)
+def test_concurrent_matches_sequential_block_for_block():
     for name in KERNELS:
         cfg = kernel(name)
         ref = run_sequential(cfg)
@@ -361,8 +336,9 @@ def test_concurrent_without_prctl_matches_sequential(monkeypatch):
 
 # More workers than cores, and a switch interval far below the default so
 # the threads interleave at many more points; the child process exits
-# with its switch interval. A lost handoff count or a worker counted idle
-# while a flag was coming would stop a run early as a deadlock.
+# with its switch interval. A lost raise count or a worker counted idle
+# while a flag was coming would stop a run early as a deadlock; a lost
+# wake would leave a worker parked, and the child's timeout fails it.
 CONC_STRESS = """
 import sys
 sys.setswitchinterval(1e-5)
@@ -374,7 +350,7 @@ from threadsplit.textfmt import parse
 for name in KERNELS:
     cfg = parse(kernel_text(name))
     ref = run_sequential(cfg)
-    for m in (2, 3, 4, 5):
+    for m in (2, 3, 4, 5, 8):
         for seed in range(10):
             trace = run_obfuscated(obfuscate(cfg, m, seed), concurrent=True)
             if (trace.status, trace.output, trace.block_sequence()) != (
@@ -386,9 +362,9 @@ for name in KERNELS:
 
 
 def test_concurrent_stress_never_stops_early():
-    proc = run_child("-c", CONC_STRESS)
+    proc = run_child("-X", "dev", "-c", CONC_STRESS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ""
+    assert (proc.stdout, proc.stderr) == ("", "")
 
 
 def test_concurrent_rejects_mutations():
@@ -424,6 +400,30 @@ def test_mutation_wrong_successor_detected():
     assert diverged
 
 
+def test_mutation_runs_show_in_trace_json():
+    _, stuck = mutated_prime_run(Mutation.SKIP_RAISE)
+    doc = json.loads(trace_to_json(stuck))
+    assert (doc["status"], doc["reason"]) == (DEADLOCK, NO_FLAG)
+    _, doubled = mutated_prime_run(Mutation.SKIP_CLEAR)
+    assert json.loads(trace_to_json(doubled))["flag_violations"] > 0
+
+
+@pytest.mark.parametrize("mode", ["seq", "sched", "conc"])
+def test_trace_names_why_the_run_stopped(mode):
+    def run(cfg, budget):
+        if mode == "seq":
+            return run_sequential(cfg, max_steps=budget)
+        return run_obfuscated(obfuscate(cfg, 2, seed=1), sched=Schedule(step_budget=budget),
+                              concurrent=mode == "conc")
+
+    for cfg, budget, reason, status in ((kernel("fib"), 10**6, COMPLETED, COMPLETED),
+                                        (program(DIV_ZERO), 10**6, TRAP, TRAPPED),
+                                        (kernel("fib"), 5, BUDGET, DEADLOCK)):
+        trace = run(cfg, budget)
+        assert (trace.reason, trace.status) == (reason, status)
+        assert json.loads(trace_to_json(trace))["reason"] == reason
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule("fifo")
@@ -434,7 +434,7 @@ def test_schedule_validation():
 def test_trace_json_shape():
     trace = run_sequential(chain(2))
     doc = json.loads(trace_to_json(trace))
-    assert doc["status"] == COMPLETED
+    assert (doc["status"], doc["reason"], doc["flag_violations"]) == (COMPLETED, COMPLETED, 0)
     assert doc["output"] == []
     assert doc["records"] == [
         {"step": 0, "thread": "seq", "block": 0},
