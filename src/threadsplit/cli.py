@@ -141,10 +141,8 @@ def cmd_run(args) -> int:
         print(f"trap: {trace.trap_reason}", file=sys.stderr)
         return 3
     if trace.status == DEADLOCK:
-        if trace.reason == BUDGET:
-            print("deadlock: step budget exhausted", file=sys.stderr)
-        else:
-            print("deadlock: no worker can advance", file=sys.stderr)
+        why = "step budget exhausted" if trace.reason == BUDGET else "no worker can advance"
+        print(f"deadlock: {why}", file=sys.stderr)
         return 4
     return 0
 

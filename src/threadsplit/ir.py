@@ -100,20 +100,24 @@ class Cfg:
         return len(self.blocks)
 
 
-def successors(cfg: Cfg, b: int) -> set[int]:
-    """Successor block ids of `b`: {target} for jump, {iftrue, iffalse} for
-    branch (a set, so one element when both arms agree), empty for halt."""
-    term = _block(cfg, b).term
+def targets(term: Terminator) -> tuple[int, ...]:
+    """(target) for a jump, (iftrue, iffalse) for a branch, () for halt."""
     if isinstance(term, Jump):
-        return {term.target}
+        return (term.target,)
     if isinstance(term, Branch):
-        return {term.iftrue, term.iffalse}
-    return set()
+        return (term.iftrue, term.iffalse)
+    return ()
+
+
+def successors(cfg: Cfg, b: int) -> set[int]:
+    """Successor block ids of `b`, as a set: one element when both arms
+    of a branch agree."""
+    return set(targets(_block(cfg, b).term))
 
 
 def successor_map(cfg: Cfg) -> list[set[int]]:
     """All successor sets at once, indexed by block id."""
-    return [successors(cfg, b.id) for b in cfg.blocks]
+    return [set(targets(blk.term)) for blk in cfg.blocks]
 
 
 def _block(cfg: Cfg, b: int) -> BasicBlock:
@@ -122,32 +126,44 @@ def _block(cfg: Cfg, b: int) -> BasicBlock:
     return cfg.blocks[b]
 
 
-def validate(cfg: Cfg) -> list[str]:
+class Problem(str):
+    """One `validate` error: the string is its message; `block` is the id
+    of the block it points at, or None when it names none."""
+
+    block: int | None = None
+
+
+def validate(cfg: Cfg) -> list[Problem]:
     """Check structural well-formedness; returns a list of errors, empty if ok.
 
     Pure and idempotent. Predecessors of the entry block are allowed (a
     program may loop back to its first block).
     """
-    errors: list[str] = []
+    errors: list[Problem] = []
+
+    def add(text: str, block: int | None = None) -> None:
+        errors.append(Problem(text))
+        errors[-1].block = block
+
     n = len(cfg.blocks)
     if n < 1:
-        return ["cfg has no blocks"]
+        return [Problem("cfg has no blocks")]
 
     labels: dict[str, int] = {}
     good_names: set[str] = set()
     for i, blk in enumerate(cfg.blocks):
         if blk.id != i:
-            errors.append(f"block at index {i} has id {blk.id} (ids must be dense)")
+            add(f"block at index {i} has id {blk.id} (ids must be dense)", i)
         if not blk.label or not is_var_name(blk.label):
-            errors.append(f"block {i} has invalid label {blk.label!r}")
+            add(f"block {i} has invalid label {blk.label!r}", i)
         elif blk.label in labels:
-            errors.append(f"duplicate label {blk.label!r} (blocks {labels[blk.label]} and {i})")
+            add(f"duplicate label {blk.label!r} (blocks {labels[blk.label]} and {i})", i)
         else:
             labels[blk.label] = i
-        errors.extend(_check_instrs(blk, good_names))
+        _check_instrs(blk, good_names, add)
 
     if not 0 <= cfg.entry < n:
-        errors.append(f"entry id {cfg.entry} out of range")
+        add(f"entry id {cfg.entry} out of range")
         return errors
 
     halts = []
@@ -155,30 +171,27 @@ def validate(cfg: Cfg) -> list[str]:
         term = blk.term
         if isinstance(term, Halt):
             halts.append(blk.id)
-            continue
-        targets = [term.target] if isinstance(term, Jump) else [term.iftrue, term.iffalse]
-        for t in targets:
+        for t in targets(term):
             if not 0 <= t < n:
-                errors.append(f"dangling edge: block {blk.id} targets nonexistent block {t}")
+                add(f"dangling edge: block {blk.id} targets nonexistent block {t}", blk.id)
         if isinstance(term, Branch) and not is_var_name(term.cond):
-            errors.append(f"block {blk.id} branches on invalid variable {term.cond!r}")
+            add(f"block {blk.id} branches on invalid variable {term.cond!r}", blk.id)
 
     if not halts:
-        errors.append("no exit: no block has a halt terminator")
+        add("no exit: no block has a halt terminator")
     elif len(halts) > 1:
-        errors.append(f"multiple exits: blocks {halts} all halt")
+        add(f"multiple exits: blocks {halts} all halt", halts[0])
 
     if not errors:
-        unreachable = sorted(set(range(n)) - _reachable(cfg))
-        for b in unreachable:
-            errors.append(f"block {b} ({cfg.blocks[b].label}) is unreachable from entry")
+        unreachable = set(range(n)) - reachable([blk.term for blk in cfg.blocks], cfg.entry)
+        for b in sorted(unreachable):
+            add(f"block {b} ({cfg.blocks[b].label}) is unreachable from entry", b)
     return errors
 
 
-def _check_instrs(blk: BasicBlock, good_names: set[str]) -> list[str]:
-    """`good_names` holds the names already found valid in this cfg, so
-    each distinct name is matched once."""
-    errors = []
+def _check_instrs(blk: BasicBlock, good_names: set[str], add) -> None:
+    """Reports each error through `add`. `good_names` holds the names
+    already found valid in this cfg, so each distinct name is matched once."""
     for instr in blk.instrs:
         if isinstance(instr, ConstAssign):
             names = (instr.dest,)
@@ -187,27 +200,26 @@ def _check_instrs(blk: BasicBlock, good_names: set[str]) -> list[str]:
         elif isinstance(instr, Print):
             names = (instr.src,)
         else:
-            errors.append(f"block {blk.id}: unknown instruction {instr!r}")
+            add(f"block {blk.id}: unknown instruction {instr!r}", blk.id)
             continue
         for name in names:
             if name not in good_names:
                 if is_var_name(name):
                     good_names.add(name)
                 else:
-                    errors.append(f"block {blk.id}: invalid variable name {name!r}")
+                    add(f"block {blk.id}: invalid variable name {name!r}", blk.id)
         if isinstance(instr, ConstAssign):
             if not INT_MIN <= instr.value <= INT_MAX:
-                errors.append(f"block {blk.id}: constant {instr.value} outside 64-bit range")
+                add(f"block {blk.id}: constant {instr.value} outside 64-bit range", blk.id)
         elif isinstance(instr, BinOp) and instr.op not in BINARY_OPS:
-            errors.append(f"block {blk.id}: unknown operator {instr.op!r}")
-    return errors
+            add(f"block {blk.id}: unknown operator {instr.op!r}", blk.id)
 
 
-def _reachable(cfg: Cfg) -> set[int]:
-    seen = {cfg.entry}
-    stack = [cfg.entry]
+def reachable(terms: list[Terminator], entry: int = 0) -> set[int]:
+    """Ids of the blocks reachable from `entry`, given each block's terminator."""
+    seen, stack = {entry}, [entry]
     while stack:
-        for s in successors(cfg, stack.pop()):
+        for s in targets(terms[stack.pop()]):
             if s not in seen:
                 seen.add(s)
                 stack.append(s)

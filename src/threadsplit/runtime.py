@@ -11,7 +11,8 @@ semantics (undefined variables read as 0):
   polling the shared guard flags. CPython's GIL provides the
   sequentially-consistent memory contract the protocol assumes. A
   worker that polls its wait set in vain parks until a flag of its own
-  or DONE is raised, then polls its whole wait set again.
+  or DONE is raised, then polls its whole wait set again. Where the OS
+  allows it, every worker runs on the caller's lowest CPU.
 
 Protocol: all flags start 0, then the entry block's flag is raised.
 A worker polls its current wait set in ascending block-id order; on
@@ -37,6 +38,7 @@ at once, also as "deadlock" (reason "no-flag").
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -272,8 +274,7 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
     # since the last handoff; when every bit is set, no worker can advance.
     idle, everyone = 0, (1 << prog.m) - 1
     chooser = rng.Rng(sched.seed) if sched.mode == RANDOM else None
-    pos = 0
-    step = 0
+    pos = step = 0
 
     while live:
         if chooser is None:
@@ -304,11 +305,9 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
 def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     core = _Guards(prog, inputs, budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
-    records = trace.records
-    owner = [prog.partition.assign[b] for b in range(done)]
-    # A worker parks on its own lock, which it holds from its start;
-    # releasing the lock wakes the worker to poll again. Releasing a lock
-    # that is not held fails: its owner has a wake pending already.
+    records, owner = trace.records, [prog.partition.assign[b] for b in range(done)]
+    # A worker parks on its own lock, held from its start; a release wakes
+    # it. Releasing a free lock fails: that worker has a wake pending.
     parks = [threading.Lock() for _ in range(prog.m)]
 
     def wake(*ws: int) -> None:
@@ -327,8 +326,7 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     # lock only skips polls already counted.
     lock = threading.Lock()
     raises = [0] * prog.m
-    idle = 0
-    everyone = (1 << prog.m) - 1
+    idle, everyone = 0, (1 << prog.m) - 1
 
     def worker(w: int):
         nonlocal idle
@@ -366,8 +364,22 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
 
     workers = [threading.Thread(target=worker, args=(w,), name=f"worker-{w}")
                for w in range(prog.m)]
-    for th in workers:
-        th.start()
+    # Every worker runs on the caller's lowest CPU: under the GIL one runs
+    # at a time anyway, and a wake then waits for no second CPU. A thread
+    # starts on its starter's CPUs, so the caller pins itself only while it
+    # starts them and no worker is moved. Where the OS refuses, none is.
+    mine = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    try:
+        if mine:
+            os.sched_setaffinity(0, {min(mine)})
+    except OSError:
+        mine = None
+    try:
+        for th in workers:
+            th.start()
+    finally:
+        if mine:
+            os.sched_setaffinity(0, mine)
     for th in workers:
         th.join()
     return core.trace

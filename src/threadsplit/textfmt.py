@@ -53,9 +53,6 @@ _TOKEN_RE = re.compile(
 )
 _PUNCT = frozenset(("<=", "==", "!=", "\n", "")) | frozenset("=+-*/%<,:{}")
 _END_OF_STATEMENT = ("block", "}", "")
-# The first block id an ir.validate message names: "block 3: ...",
-# "multiple exits: blocks [1, 2] ...".
-_NAMED_BLOCK_RE = re.compile(r"\bblocks? \[?(\d+)")
 
 
 @dataclass(frozen=True)
@@ -198,8 +195,8 @@ def parse(text: str) -> Cfg:
     cfg = Cfg(name=name, blocks=blocks)
     errors = ir.validate(cfg)
     if errors:
-        named = _NAMED_BLOCK_RE.search(errors[0])
-        span = p.span(label_toks[int(named[1])]) if named else SourceSpan(1, 1)
+        b = errors[0].block
+        span = SourceSpan(1, 1) if b is None else p.span(label_toks[b])
         raise ParseError("; ".join(errors), span)
     return cfg
 

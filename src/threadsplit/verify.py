@@ -79,29 +79,12 @@ def random_cfg(r: rng.Rng, max_n: int = 12, branch_density: float = 0.4) -> Cfg:
                 terms.append(Jump(r.below(n)))
         # Reachability is the only check a draw can fail; most draws do,
         # so test it before building the cfg.
-        if not _reaches_all(terms):
+        if len(ir.reachable(terms)) < n:
             continue
         cfg = Cfg("random", [BasicBlock(i, f"b{i}", [_FLIP_C], term)
                              for i, term in enumerate(terms)])
         if not ir.validate(cfg):
             return cfg
-
-
-def _reaches_all(terms: list) -> bool:
-    seen, stack = {0}, [0]
-    while stack:
-        term = terms[stack.pop()]
-        if isinstance(term, Jump):
-            targets: tuple[int, ...] = (term.target,)
-        elif isinstance(term, Branch):
-            targets = (term.iftrue, term.iffalse)
-        else:
-            targets = ()
-        for s in targets:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return len(seen) == len(terms)
 
 
 @dataclass

@@ -94,6 +94,22 @@ def test_validate_duplicate_label():
     assert any("label" in e for e in errors)
 
 
+def test_validate_errors_name_their_block():
+    def first_block(blocks):
+        return validate(Cfg("bad", blocks))[0].block
+
+    # The duplicate, not the first block to carry the label.
+    assert first_block([BasicBlock(0, "same", [], Jump(1)),
+                        BasicBlock(1, "same", [], Halt())]) == 1
+    assert first_block([BasicBlock(0, "a", [], Halt()),
+                        BasicBlock(1, "b", [], Jump(0))]) == 1  # unreachable
+    assert first_block([BasicBlock(0, "a", [], Jump(1)),
+                        BasicBlock(1, "b", [ConstAssign("x", 1 << 63)], Halt())]) == 1
+    assert first_block([BasicBlock(0, "a", [], Jump(7))]) == 0  # dangling edge
+    assert validate(two_loop())[0].block is None  # no exit
+    assert validate(Cfg("empty", []))[0].block is None
+
+
 def test_validate_const_out_of_range():
     cfg = Cfg("bad", [
         BasicBlock(0, "a", [ConstAssign("x", 1 << 63)], Halt()),

@@ -1,8 +1,11 @@
 import json
+import os
+import threading
 
 import pytest
 
 from helpers import chain, run_child
+from threadsplit import runtime
 from threadsplit.ir import INT_MAX, INT_MIN
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import Partition, build_thread_cfg, obfuscate
@@ -334,6 +337,48 @@ def test_concurrent_matches_sequential_block_for_block():
             assert trace.flag_violations == 0
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU pinning")
+def test_concurrent_workers_run_on_one_cpu(monkeypatch):
+    seen = set()
+    real = runtime._exec_block
+
+    def record(*args):
+        seen.add((threading.current_thread().name, frozenset(os.sched_getaffinity(0))))
+        return real(*args)
+
+    cfg = kernel("prime")
+    ref, before = run_sequential(cfg), os.sched_getaffinity(0)
+    monkeypatch.setattr(runtime, "_exec_block", record)
+    trace = run_obfuscated(obfuscate(cfg, 3, seed=8), concurrent=True)
+    assert trace.block_sequence() == ref.block_sequence()
+    assert seen == {(f"worker-{w}", frozenset({min(before)})) for w in range(3)}
+    assert os.sched_getaffinity(0) == before
+
+
+# Where the OS refuses the pin, the workers run unpinned.
+PIN_REFUSED = """
+import os
+from threadsplit.kernels import kernel_text
+from threadsplit.obfuscate import obfuscate
+from threadsplit.runtime import run_obfuscated, run_sequential
+from threadsplit.textfmt import parse
+
+def refuse(pid, cpus):
+    raise PermissionError(1, "Operation not permitted")
+
+os.sched_setaffinity = refuse
+cfg = parse(kernel_text("prime"))
+trace = run_obfuscated(obfuscate(cfg, 3, 8), concurrent=True)
+print(trace.block_sequence() == run_sequential(cfg).block_sequence())
+"""
+
+
+def test_concurrent_runs_where_pinning_is_refused():
+    proc = run_child("-X", "dev", "-c", PIN_REFUSED)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("True\n", "")
+
+
 # More workers than cores, and a switch interval far below the default so
 # the threads interleave at many more points; the child process exits
 # with its switch interval. A lost raise count or a worker counted idle
@@ -363,6 +408,72 @@ for name in KERNELS:
 
 def test_concurrent_stress_never_stops_early():
     proc = run_child("-X", "dev", "-c", CONC_STRESS)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("", "")
+
+
+# The flag owner's vain poll overlaps the raise of its flag: the owner w
+# has polled in vain and waits, before it takes the stop rule's lock,
+# until the entry block's owner v has raised w's flag, counted the raise
+# and started its next poll. The stop rule must then see w's raise count
+# move and not count w as idle; if it did, v's own vain poll would make
+# every worker idle and stop the run as "no-flag" with w's flag up.
+RAISE_RACE = """
+import threading
+from threadsplit import runtime
+from threadsplit.kernels import kernel_text
+from threadsplit.obfuscate import obfuscate
+from threadsplit.textfmt import parse
+
+cfg = parse(kernel_text("prime"))
+ref = runtime.run_sequential(cfg)
+first, second = ref.block_sequence()[:2]
+prog = next(p for p in (obfuscate(cfg, 2, seed) for seed in range(100))
+            if p.partition.assign[first] != p.partition.assign[second])
+v = prog.partition.assign[first]
+w = 1 - v
+polled, counted = threading.Event(), threading.Event()
+
+
+class Hooked:
+    def __init__(self, flags, before=None, after=None):
+        self.flags, self.before, self.after = flags, before, after
+
+    def __iter__(self):
+        if self.before:
+            self.before()
+        yield from self.flags
+        if self.after:
+            self.after()
+
+
+class Guards(runtime._Guards):
+    def __init__(self, *args):
+        super().__init__(*args)
+        waits, inner = self.waits, self.handoff
+        waits[w] = Hooked(waits[w], after=lambda: (polled.set(), counted.wait()))
+
+        def handoff(u, b, step):
+            if step == 0:
+                polled.wait()
+            to = inner(u, b, step)
+            if step == 0:
+                waits[u] = Hooked(waits[u], before=counted.set)
+            return to
+
+        self.handoff = handoff
+
+
+runtime._Guards = Guards
+trace = runtime.run_obfuscated(prog, concurrent=True)
+assert polled.is_set() and counted.is_set()
+if (trace.reason, trace.block_sequence()) != (ref.reason, ref.block_sequence()):
+    print(trace.reason, len(trace.records), len(ref.records))
+"""
+
+
+def test_concurrent_raise_during_owners_vain_poll_is_not_idle():
+    proc = run_child("-X", "dev", "-c", RAISE_RACE)
     assert proc.returncode == 0, proc.stderr
     assert (proc.stdout, proc.stderr) == ("", "")
 
