@@ -39,9 +39,13 @@ from .verify import VerifyConfig, verify_files
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
+    """`where`, when given, is the file position the message is about;
+    the one-line report then reads "where: error: message"."""
+
+    def __init__(self, message: str, code: int = 2, where: str | None = None):
         super().__init__(message)
         self.code = code
+        self.where = where
 
 
 def _read_text(path: str) -> str:
@@ -57,7 +61,7 @@ def _load_cfg(path: str) -> Cfg:
     try:
         return textfmt.parse(_read_text(path))
     except ParseError as e:
-        raise CliError(f"{path}:{e.span}: error: {e.message}")
+        raise CliError(e.message, where=f"{path}:{e.span}")
 
 
 def _load_program(path: str, cfg: Cfg) -> ObfuscatedProgram:
@@ -264,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"{e.where}: error: {e}" if e.where else f"error: {e}", file=sys.stderr)
         return e.code
 
 

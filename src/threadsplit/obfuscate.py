@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import ir, rng
 from .ir import Cfg
@@ -99,6 +100,18 @@ class ObfuscatedProgram:
     @property
     def m(self) -> int:
         return self.partition.m
+
+    @cached_property
+    def wait_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The wait sets as the runtime polls them, in ascending block-id
+        order: each thread's entry wait, and the wait that follows each
+        block, indexed by block id. Derived on first use and kept for the
+        program's lifetime; not part of the artifact."""
+        after: list[tuple[int, ...]] = [()] * self.source.n
+        for tcfg in self.threads:
+            for b, ws in tcfg.per_block_wait.items():
+                after[b] = ws.sorted_flags()
+        return tuple(tcfg.entry_wait.sorted_flags() for tcfg in self.threads), tuple(after)
 
 
 def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:

@@ -38,13 +38,14 @@ at once, also as "deadlock" (reason "no-flag").
 from __future__ import annotations
 
 import json
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import ir, rng
-from .ir import BinOp, Branch, Cfg, ConstAssign, Jump, Print
+from .ir import INT_MAX, INT_MIN, BinOp, Branch, Cfg, ConstAssign, Jump
 from .obfuscate import ObfuscatedProgram
 
 COMPLETED = "completed"
@@ -110,53 +111,56 @@ class Trap(Exception):
     pass
 
 
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
+def _div(a: int, b: int) -> int:
+    """Division truncating toward zero, C style."""
+    if b == 0:
+        raise Trap("division by zero")
+    # Floor division truncates when the quotient is not negative.
+    return a // b if (a < 0) == (b < 0) else -(-a // b)
 
 
-def _binop(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return ir.wrap(a + b)
-    if op == "-":
-        return ir.wrap(a - b)
-    if op == "*":
-        return ir.wrap(a * b)
-    if op == "/":
-        if b == 0:
-            raise Trap("division by zero")
-        return ir.wrap(_trunc_div(a, b))
-    if op == "%":
-        if b == 0:
-            raise Trap("modulo by zero")
-        return ir.wrap(a - _trunc_div(a, b) * b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == "==":
-        return int(a == b)
-    return int(a != b)
+def _mod(a: int, b: int) -> int:
+    """Remainder with the sign of `a`, so that a == _div(a, b) * b + _mod(a, b)."""
+    if b == 0:
+        raise Trap("modulo by zero")
+    r = a % b  # has the sign of b
+    return r - b if r and (a < 0) != (b < 0) else r
+
+
+# Each op's exact result; `_exec_block` wraps it into 64 bits.
+_BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": _mod,
+    "<": lambda a, b: int(a < b),
+    "<=": lambda a, b: int(a <= b),
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+}
 
 
 def _exec_block(blk, store: dict, output: list) -> int | None:
     """Run a block's instructions and terminator; returns the dynamic
     successor id, or None for halt. Prints emitted before a trap stay
     in the output."""
+    get = store.get
     for instr in blk.instrs:
         t = type(instr)
-        if t is ConstAssign:
+        if t is BinOp:
+            v = _BINOPS[instr.op](get(instr.lhs, 0), get(instr.rhs, 0))
+            store[instr.dest] = v if INT_MIN <= v <= INT_MAX else ir.wrap(v)
+        elif t is ConstAssign:
             store[instr.dest] = instr.value
-        elif t is BinOp:
-            store[instr.dest] = _binop(instr.op, store.get(instr.lhs, 0), store.get(instr.rhs, 0))
         else:
-            output.append(store.get(instr.src, 0))
+            output.append(get(instr.src, 0))
     term = blk.term
     t = type(term)
     if t is Jump:
         return term.target
     if t is Branch:
-        return term.iftrue if store.get(term.cond, 0) != 0 else term.iffalse
+        return term.iftrue if get(term.cond, 0) != 0 else term.iffalse
     return None
 
 
@@ -207,14 +211,11 @@ class _Guards:
         n = prog.source.n
         self.flags = flags = bytearray(n + 1)
         self.done = done = n
-        self.waits = waits = [tcfg.entry_wait.sorted_flags() for tcfg in prog.threads]
+        entry_waits, wait_after = prog.wait_lists
+        self.waits = waits = list(entry_waits)
         self.trace = trace = ExecutionTrace()
         records, output = trace.records, trace.output
         blocks, store = prog.source.blocks, dict(inputs or {})
-        wait_after: list[tuple[int, ...]] = [()] * len(blocks)
-        for tcfg in prog.threads:
-            for blk, ws in tcfg.per_block_wait.items():
-                wait_after[blk] = ws.sorted_flags()
         clear = mutation is not Mutation.SKIP_CLEAR
         raise_next = mutation is not Mutation.SKIP_RAISE
         wrong_successor = mutation is Mutation.WRONG_SUCCESSOR

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 from . import ir, rng
 from .ir import BasicBlock, BinOp, Branch, Cfg, Halt, Jump
-from .obfuscate import check_bijection, obfuscate, wait_set_query
+from .obfuscate import (
+    ObfuscatedProgram,
+    build_thread_cfg,
+    check_bijection,
+    obfuscate,
+    partition_blocks,
+    wait_set_query,
+)
 from .runtime import (
     COMPLETED,
     RANDOM,
@@ -227,9 +234,13 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     check plus round-robin and `schedule_seeds` random-schedule runs,
     each compared field-by-field against the sequential reference.
     Each run's budget is the reference's block count: a run that needs
-    more has already diverged."""
+    more has already diverged. The cfg is validated once, before the
+    reference runs; an invalid one raises ValueError."""
     config = config or VerifyConfig()
     name = name or cfg.name
+    errors = ir.validate(cfg)
+    if errors:
+        raise ValueError(f"invalid cfg {name!r}: " + "; ".join(errors))
     ref = run_sequential(cfg, inputs)
     if ref.status != COMPLETED:
         raise ValueError(f"reference run of {name} did not complete: {ref.status}")
@@ -240,9 +251,12 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     results: list[CaseResult] = []
     schedules = [Schedule(ROUND_ROBIN, 0, budget)]
     schedules += [Schedule(RANDOM, s, budget) for s in range(config.schedule_seeds)]
+    succs = ir.successor_map(cfg)
     for m in config.m_values:
         for pseed in range(config.partition_seeds):
-            prog = obfuscate(cfg, m, pseed)
+            part = partition_blocks(cfg, m, pseed)
+            prog = ObfuscatedProgram(
+                cfg, part, [build_thread_cfg(cfg, part, t, succs) for t in range(m)])
             issues = check_bijection(prog)
             results.append(CaseResult(
                 name, m, pseed, "structure", not issues, "; ".join(issues)))

@@ -1,5 +1,5 @@
-"""Small hand-built CFGs and a child-process runner shared across test
-modules."""
+"""Small hand-built CFGs, a child-process runner and a reference for the
+interpreter's arithmetic, shared across test modules."""
 
 import os
 import subprocess
@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 import threadsplit
+from threadsplit import ir
 from threadsplit.ir import BasicBlock, Branch, Cfg, Halt, Jump
+from threadsplit.runtime import Trap
 
 
 def run_child(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
@@ -42,3 +44,35 @@ def diamond() -> Cfg:
         BasicBlock(2, "right", [], Jump(3)),
         BasicBlock(3, "bottom", [], Halt()),
     ])
+
+
+def _trunc_div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+def reference_binop(op: str, a: int, b: int) -> int:
+    """What `dest = a <op> b` stores, written out one op at a time:
+    64-bit wrapping arithmetic, C-style division and remainder, and
+    comparisons that yield 0 or 1. A zero divisor raises Trap."""
+    if op == "+":
+        return ir.wrap(a + b)
+    if op == "-":
+        return ir.wrap(a - b)
+    if op == "*":
+        return ir.wrap(a * b)
+    if op == "/":
+        if b == 0:
+            raise Trap("division by zero")
+        return ir.wrap(_trunc_div(a, b))
+    if op == "%":
+        if b == 0:
+            raise Trap("modulo by zero")
+        return ir.wrap(a - _trunc_div(a, b) * b)
+    if op == "<":
+        return int(a < b)
+    if op == "<=":
+        return int(a <= b)
+    if op == "==":
+        return int(a == b)
+    return int(a != b)

@@ -2,6 +2,7 @@
 functions and checks every result; one short traced run keeps it
 working as the package changes."""
 
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -11,6 +12,13 @@ import pytest
 from helpers import run_child
 
 RUN = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
+
+
+def _layer_times() -> tuple[str, ...]:
+    spec = importlib.util.spec_from_file_location("benchmark_run", RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYER_TIMES
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
@@ -23,3 +31,8 @@ def test_benchmark_traced_verify_sweep_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    # Every layer shows up in its own span: work routed around the
+    # tracer's wrappers would read as zero.
+    metrics = result["metrics"]
+    for name in _layer_times():
+        assert metrics[f"{name}_s"]["value"] > 0, name

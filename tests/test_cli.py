@@ -149,8 +149,7 @@ def test_validation_error_names_the_block_line(capsys, tmp_path):
     bad.write_text("func f {\n  block a:\n    jump c\n  block b:\n    halt\n"
                    "  block c:\n    halt\n}\n")
     assert main(["run", "-i", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert f"{bad}:4:9: error: multiple exits: blocks [1, 2] all halt\n" in err
+    assert capsys.readouterr().err == f"{bad}:4:9: error: multiple exits: blocks [1, 2] all halt\n"
 
 
 def test_run_seq_fib(kernels, capsys):

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import chain, run_child
+from helpers import chain, reference_binop, run_child
 from threadsplit import runtime
-from threadsplit.ir import INT_MAX, INT_MIN
+from threadsplit.ir import BINARY_OPS, INT_MAX, INT_MIN, BasicBlock, BinOp, Cfg, Halt, Print
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import Partition, build_thread_cfg, obfuscate
 from threadsplit.runtime import (
@@ -21,6 +24,7 @@ from threadsplit.runtime import (
     Mutation,
     ObfuscatedProgram,
     Schedule,
+    Trap,
     run_obfuscated,
     run_sequential,
     _Guards,
@@ -138,6 +142,29 @@ def test_comparisons_yield_01():
         "}\n"
     )
     assert run_sequential(program(src)).output == [1, 0, 1, 0]
+
+
+OPERANDS = (st.sampled_from([INT_MIN, INT_MAX, -1, 0, 1]) | st.integers(-9, 9)
+            | st.integers(INT_MIN, INT_MAX))
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+@settings(max_examples=100)
+@given(a=OPERANDS, b=OPERANDS)
+def test_binop_matches_reference(op, a, b):
+    cfg = Cfg("op", [BasicBlock(0, "a", [Print("x"), BinOp("r", "x", op, "y"), Print("r")],
+                                Halt())])
+    trace = run_sequential(cfg, {"x": a, "y": b})
+    try:
+        want = reference_binop(op, a, b)
+    except Trap as t:
+        assert trace.status == TRAPPED
+        assert trace.trap_reason == str(t)
+        assert trace.output == [a]  # the print before the trap survives
+    else:
+        assert trace.status == COMPLETED
+        assert trace.output == [a, want]
+        assert type(trace.output[1]) is int
 
 
 DIV_ZERO = (
@@ -276,6 +303,58 @@ def test_schedule_choice_never_changes_behavior():
         assert trace.status == COMPLETED
         assert trace.output == ref.output
         assert trace.block_sequence() == ref.block_sequence()
+
+
+# sha256 of the JSON of `records` for each bundled kernel at partition
+# seed 0: every scheduled interleaving, step number and worker, pinned.
+SCHEDULE_DIGESTS = {
+    ("evens", 2, "round-robin"):
+        "d5e09e8b0b5f49ac0d1da86014f2712d0902e0378681d4f32dacf21e0b8f7cc0",
+    ("evens", 2, "random:0"):
+        "e3925c56e3aceddaa239250bc5a80cd90e40eded812a10e30dee66b3b33cd68a",
+    ("evens", 2, "random:1"):
+        "12bf3c26c7da3039968bd54de4e73f75db24c90e234fc3f0a9cd3b0de2f0483b",
+    ("evens", 3, "round-robin"):
+        "c5a6b8905543d810ed0f2ff56a48a17aa45db93f8133fb839b380ae191fdf8b2",
+    ("evens", 3, "random:0"):
+        "ff27a55dada115f922c13c032bd36508d5772912e41611c92e85402fdf766727",
+    ("evens", 3, "random:1"):
+        "80a9554d5a2e189bdd53550b16030dad7ecec2bcdd5dff794b02671b9365873a",
+    ("fib", 2, "round-robin"):
+        "09f183aadeaca4d95f52da54fcefa00dec4dacb46f79d989bfe8515e9b3f9f63",
+    ("fib", 2, "random:0"):
+        "ca15922efc3e6ddfb767b18eb5388dbead0a131fe5164c3628886f601fc2c6f8",
+    ("fib", 2, "random:1"):
+        "037087fa3a33f015cae367f375d898bc33a87cde178ecec3a687d54cf1c40f78",
+    ("fib", 3, "round-robin"):
+        "e6ad933b6109205b608615c6290972d6b6244e6aeb105bbcd72fceda8d2d320a",
+    ("fib", 3, "random:0"):
+        "689fc56e4f06514d8daa4e31ca4455ce46f39127eb7b6ef9417eaf9ec0223d5f",
+    ("fib", 3, "random:1"):
+        "20b7ed24cfb97578871c0b8d61c33180025f986615110b65617505e86fe0c102",
+    ("prime", 2, "round-robin"):
+        "56c445e251c71b7857cd55bbff2e8b984a6685d325bba29f887a9402570fa366",
+    ("prime", 2, "random:0"):
+        "62ae163e8d199f9a4b14aca219f0efa3a205bab6db1864f4296df5dca02d30f8",
+    ("prime", 2, "random:1"):
+        "2d5c16a76cc74a00a868a2bc5989430ddc509b16034297885cbbae3485be5514",
+    ("prime", 3, "round-robin"):
+        "f9ab1aeebce4dbcc8c82759c198b638d636fcbcec963ff119a810656000e55f9",
+    ("prime", 3, "random:0"):
+        "ecb883aa871df2a4a4f852544f69c5bb2dc24d7965837a5d0fed322dfb0668ab",
+    ("prime", 3, "random:1"):
+        "68b44e84e323c784f70c7d3d4163f28b3927cae6ccc57af1f71083347f1b4ca2",
+}
+
+
+def test_scheduled_records_are_pinned():
+    for (name, m, label), digest in SCHEDULE_DIGESTS.items():
+        mode, _, seed = label.partition(":")
+        trace = run_obfuscated(obfuscate(kernel(name), m, 0),
+                               sched=Schedule(mode, int(seed or 0)))
+        assert trace.status == COMPLETED
+        got = hashlib.sha256(json.dumps(trace.records).encode()).hexdigest()
+        assert got == digest, (name, m, label)
 
 
 def test_random_schedule_deterministic_per_seed():

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from helpers import chain, diamond, two_loop
-from threadsplit import ir, rng
+from threadsplit import ir, rng, verify
 from threadsplit.kernels import kernel_text
 from threadsplit.obfuscate import build_thread_cfg, partition_blocks, wait_set_query
 from threadsplit.runtime import COMPLETED, run_sequential
@@ -128,6 +128,20 @@ def test_check_equivalence_rejects_trapping_reference():
     cfg = parse("func f {\n  block a:\n    q = x / zero\n    halt\n}\n")
     with pytest.raises(ValueError):
         check_equivalence(cfg, VerifyConfig(m_values=(1,), partition_seeds=1))
+
+
+def _dangling() -> ir.Cfg:
+    return ir.Cfg("dangling", [ir.BasicBlock(0, "a", [], ir.Jump(5))])
+
+
+@pytest.mark.parametrize("cfg", [_dangling(), two_loop()], ids=["dangling-edge", "no-exit"])
+def test_check_equivalence_rejects_invalid_cfg_before_running(cfg, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an invalid cfg was run")
+
+    monkeypatch.setattr(verify, "run_sequential", must_not_run)
+    with pytest.raises(ValueError, match="invalid cfg"):
+        check_equivalence(cfg)
 
 
 def test_check_mutations_all_detected_on_prime():
