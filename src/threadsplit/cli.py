@@ -166,7 +166,10 @@ def cmd_verify(args) -> int:
         )
     except ValueError as e:
         raise CliError(str(e))
-    report = verify_files(named, config, alg1_trials=args.alg1_trials, seed=args.seed)
+    try:
+        report = verify_files(named, config, alg1_trials=args.alg1_trials, seed=args.seed)
+    except ValueError as e:  # a reference run that does not complete
+        raise CliError(str(e))
     print(report.summary())
     if args.report_out:
         _write_text(args.report_out, report.to_json())

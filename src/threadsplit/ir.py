@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 INT_BITS = 64
 INT_MIN = -(1 << 63)
@@ -98,6 +99,12 @@ class Cfg:
     @property
     def n(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def problems(self) -> tuple[Problem, ...]:
+        """`validate(self)`, worked out on first use and then kept: parsing,
+        obfuscating and verifying one cfg check it once between them."""
+        return tuple(validate(self))
 
 
 def targets(term: Terminator) -> tuple[int, ...]:

@@ -212,7 +212,7 @@ def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> Thre
 def obfuscate(cfg: Cfg, m: int, seed: int) -> ObfuscatedProgram:
     """Partition the blocks and build all m thread CFGs. Pure function of
     its arguments."""
-    errors = ir.validate(cfg)
+    errors = cfg.problems
     if errors:
         raise ValueError(f"invalid cfg {cfg.name!r}: " + "; ".join(errors))
     partition = partition_blocks(cfg, m, seed)

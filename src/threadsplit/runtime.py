@@ -8,11 +8,13 @@ semantics (undefined variables read as 0):
   micro-step at a time (one wait-poll or one block execution) under a
   deterministic schedule. This is the verification vehicle.
 * `run_obfuscated(.., concurrent=True)` - one OS thread per worker,
-  polling the shared guard flags. CPython's GIL provides the
+  polling the shared guard flags: the calling thread is worker 0 and
+  starts the other m-1. CPython's GIL provides the
   sequentially-consistent memory contract the protocol assumes. A
   worker that polls its wait set in vain parks until a flag of its own
   or DONE is raised, then polls its whole wait set again. Where the OS
-  allows it, every worker runs on the caller's lowest CPU.
+  allows it, every worker runs on the CPU the caller was on when the
+  run began.
 
 Protocol: all flags start 0, then the entry block's flag is raised.
 A worker polls its current wait set in ascending block-id order; on
@@ -37,6 +39,7 @@ at once, also as "deadlock" (reason "no-flag").
 
 from __future__ import annotations
 
+import _thread
 import json
 import operator
 import os
@@ -303,13 +306,30 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
     return trace
 
 
+def _caller_cpu(cpus: set[int]) -> int:
+    """The CPU the calling thread last ran on, if it is in `cpus`;
+    otherwise, or where the OS does not say, the lowest of `cpus`."""
+    try:
+        fd = os.open("/proc/thread-self/stat", os.O_RDONLY)
+        try:
+            stat = os.read(fd, 1024)
+        finally:
+            os.close(fd)
+        # Field 39, "processor"; the command name in field 2 may hold spaces.
+        cpu = int(stat.rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return min(cpus)
+    return cpu if cpu in cpus else min(cpus)
+
+
 def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
+    m = prog.m
     core = _Guards(prog, inputs, budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
-    records, owner = trace.records, [prog.partition.assign[b] for b in range(done)]
+    records, owner = trace.records, prog.partition.assign
     # A worker parks on its own lock, held from its start; a release wakes
     # it. Releasing a free lock fails: that worker has a wake pending.
-    parks = [threading.Lock() for _ in range(prog.m)]
+    parks = [threading.Lock() for _ in range(m)]
 
     def wake(*ws: int) -> None:
         for v in ws:
@@ -326,8 +346,8 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     # flag coming never counts as idle. Reading `idle` before taking the
     # lock only skips polls already counted.
     lock = threading.Lock()
-    raises = [0] * prog.m
-    idle, everyone = 0, (1 << prog.m) - 1
+    raises = [0] * m
+    idle, everyone = 0, (1 << m) - 1
 
     def worker(w: int):
         nonlocal idle
@@ -341,7 +361,7 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
                     # records, so it numbers them 0, 1, 2, ...
                     to = handoff(w, b, len(records))
                     if to < 0 or to == done:
-                        wake(*range(prog.m))
+                        wake(*range(m))
                         return
                     v = owner[to]
                     with lock:
@@ -359,31 +379,60 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
                             idle |= me
                             if idle == everyone:
                                 core.stop(NO_FLAG)
-                                wake(*range(prog.m))
+                                wake(*range(m))
                                 return
                 park.acquire()
 
-    workers = [threading.Thread(target=worker, args=(w,), name=f"worker-{w}")
-               for w in range(prog.m)]
-    # Every worker runs on the caller's lowest CPU: under the GIL one runs
-    # at a time anyway, and a wake then waits for no second CPU. A thread
-    # starts on its starter's CPUs, so the caller pins itself only while it
-    # starts them and no worker is moved. Where the OS refuses, none is.
-    mine = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    def abort() -> None:
+        """Raise DONE and wake every worker, so that none stays parked."""
+        flags[done] = 1
+        wake(*range(m))
+
+    failed: list[BaseException] = []
+
+    def spawned(w: int, ended) -> None:
+        # Plain `_thread`, so no `threading` call here: `current_thread()`
+        # would register a dummy Thread for good.
+        try:
+            worker(w)
+        except BaseException as e:
+            failed.append(e)
+            abort()
+        finally:
+            ended.release()
+
+    # The caller runs worker 0 and starts the others, which do not
+    # handshake: `start_new_thread` returns without waiting for the new
+    # thread to run. Where the OS allows it, the caller first pins itself
+    # to the CPU it is on, for the whole run, and the workers inherit the
+    # pin: under the GIL one runs at a time anyway, and a wake then waits
+    # for no second CPU. Where the OS refuses, no worker is pinned; at
+    # m=1 there is no other worker, so no pin either.
+    mine = os.sched_getaffinity(0) if m > 1 and hasattr(os, "sched_setaffinity") else None
     try:
         if mine:
-            os.sched_setaffinity(0, {min(mine)})
+            os.sched_setaffinity(0, {_caller_cpu(mine)})
     except OSError:
         mine = None
+    started = []
     try:
-        for th in workers:
-            th.start()
+        for w in range(1, m):
+            ended = threading.Lock()
+            ended.acquire()
+            _thread.start_new_thread(spawned, (w, ended))
+            started.append(ended)
+        worker(0)
+    except BaseException:
+        abort()
+        raise
     finally:
+        for ended in started:
+            ended.acquire()
         if mine:
             os.sched_setaffinity(0, mine)
-    for th in workers:
-        th.join()
-    return core.trace
+    if failed:
+        raise failed[0]
+    return trace
 
 
 def trace_to_json(trace: ExecutionTrace) -> str:

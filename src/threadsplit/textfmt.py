@@ -193,7 +193,7 @@ def parse(text: str) -> Cfg:
         blk.term = Jump(ids[0]) if cond is None else Branch(cond, *ids)
 
     cfg = Cfg(name=name, blocks=blocks)
-    errors = ir.validate(cfg)
+    errors = cfg.problems
     if errors:
         b = errors[0].block
         span = SourceSpan(1, 1) if b is None else p.span(label_toks[b])

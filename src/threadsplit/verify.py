@@ -238,7 +238,7 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     reference runs; an invalid one raises ValueError."""
     config = config or VerifyConfig()
     name = name or cfg.name
-    errors = ir.validate(cfg)
+    errors = cfg.problems
     if errors:
         raise ValueError(f"invalid cfg {name!r}: " + "; ".join(errors))
     ref = run_sequential(cfg, inputs)

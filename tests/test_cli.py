@@ -302,6 +302,15 @@ def test_verify_requires_corpus():
     assert main(["verify"]) == 2
 
 
+def test_verify_rejects_a_reference_run_that_traps(capsys, tmp_path):
+    src = tmp_path / "boom.cfg"
+    src.write_text("func boom {\n  block a:\n    z = 0\n    y = x / z\n    halt\n}\n")
+    assert main(["verify", str(src), "--alg1-trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: reference run of boom did not complete: trapped"]
+
+
 def test_dot_counts_and_validity(kernels, capsys, tmp_path):
     obf = str(tmp_path / "prime.obf")
     main(["obfuscate", "-i", kernels["prime"], "-m", "4", "-o", obf])

@@ -11,6 +11,10 @@ from threadsplit.ir import (
     Print,
     validate,
 )
+from threadsplit.kernels import kernel_text
+from threadsplit.obfuscate import obfuscate
+from threadsplit.textfmt import parse
+from threadsplit.verify import VerifyConfig, check_equivalence
 
 
 def test_wrap_two_complement():
@@ -153,3 +157,19 @@ def test_is_var_name():
     assert not ir.is_var_name("7up")
     assert not ir.is_var_name("")
     assert not ir.is_var_name("a-b")
+
+
+def test_cfg_problems_are_validated_once(monkeypatch):
+    calls = []
+    real = ir.validate
+    monkeypatch.setattr(ir, "validate", lambda cfg: calls.append(cfg) or real(cfg))
+    cfg = parse(kernel_text("prime"))
+    obfuscate(cfg, 4, seed=1)
+    obfuscate(cfg, 2, seed=2)
+    assert check_equivalence(cfg, VerifyConfig(m_values=(2,), partition_seeds=1,
+                                               schedule_seeds=1)).ok
+    assert calls == [cfg]
+    assert cfg.problems == ()
+    broken = two_loop()
+    assert broken.problems == tuple(validate(broken))
+    assert broken.problems[0] == "no exit: no block has a halt terminator"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -416,22 +417,167 @@ def test_concurrent_matches_sequential_block_for_block():
             assert trace.flag_violations == 0
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU pinning")
+PINNING = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                             reason="no per-thread CPU pinning")
+
+
+@PINNING
 def test_concurrent_workers_run_on_one_cpu(monkeypatch):
     seen = set()
     real = runtime._exec_block
 
     def record(*args):
-        seen.add((threading.current_thread().name, frozenset(os.sched_getaffinity(0))))
+        seen.add((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
         return real(*args)
+
+    picked = []
+
+    def highest(cpus):
+        picked.append(max(cpus))  # not the lowest, where the caller has two CPUs
+        return picked[-1]
 
     cfg = kernel("prime")
     ref, before = run_sequential(cfg), os.sched_getaffinity(0)
     monkeypatch.setattr(runtime, "_exec_block", record)
+    monkeypatch.setattr(runtime, "_caller_cpu", highest)
     trace = run_obfuscated(obfuscate(cfg, 3, seed=8), concurrent=True)
     assert trace.block_sequence() == ref.block_sequence()
-    assert seen == {(f"worker-{w}", frozenset({min(before)})) for w in range(3)}
+    # All three workers ran blocks, the caller as worker 0 among them,
+    # and every block ran on the one CPU of the caller's set it picked.
+    assert len({ident for ident, _ in seen}) == 3
+    assert threading.get_ident() in {ident for ident, _ in seen}
+    assert {cpus for _, cpus in seen} == {frozenset({max(before)})}
+    assert picked == [max(before)]
     assert os.sched_getaffinity(0) == before
+
+
+@PINNING
+def test_caller_cpu_is_the_one_it_runs_on(monkeypatch):
+    before = os.sched_getaffinity(0)
+    try:
+        for cpu in sorted(before):
+            os.sched_setaffinity(0, {cpu})
+            assert runtime._caller_cpu(before) == cpu
+            # A CPU outside the caller's set, or none read, falls back to the lowest.
+            assert runtime._caller_cpu({cpu + 1, cpu + 2}) == cpu + 1
+    finally:
+        os.sched_setaffinity(0, before)
+
+    def unreadable(*args):
+        raise FileNotFoundError(2, "No such file or directory")
+
+    monkeypatch.setattr(runtime.os, "open", unreadable)
+    assert runtime._caller_cpu({3, 5}) == 3
+
+
+def test_concurrent_run_starts_m_minus_one_threads(monkeypatch):
+    starts = []
+    real = runtime._thread.start_new_thread
+
+    def counted(*args):
+        starts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runtime._thread, "start_new_thread", counted)
+    cfg = kernel("fib")
+    ref = run_sequential(cfg)
+    for m, started in ((1, 0), (2, 1), (3, 2)):
+        trace = run_obfuscated(obfuscate(cfg, m, seed=3), concurrent=True)
+        assert trace.block_sequence() == ref.block_sequence()
+        assert len(starts) == started
+        starts.clear()
+
+
+def wait_for_thread_count(count: int) -> int:
+    """`_thread._count()` once it reaches `count`, or after 5 s: a worker
+    has released its lock before its thread finishes exiting."""
+    deadline = time.monotonic() + 5
+    while runtime._thread._count() != count and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return runtime._thread._count()
+
+
+def test_concurrent_run_leaves_no_thread_behind():
+    threads, registered = runtime._thread._count(), threading.enumerate()
+    for name in KERNELS:
+        for m in (2, 4):
+            run_obfuscated(obfuscate(kernel(name), m, seed=5), concurrent=True)
+    assert wait_for_thread_count(threads) == threads
+    # The workers never called into `threading`, so none is registered.
+    assert threading.enumerate() == registered
+
+
+@pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "started-worker"])
+def test_concurrent_worker_error_stops_every_worker(monkeypatch, in_caller):
+    threads, caller = runtime._thread._count(), threading.get_ident()
+    real = runtime._exec_block
+
+    def fail(*args):
+        if (threading.get_ident() == caller) == in_caller:
+            raise RuntimeError("worker failed")
+        return real(*args)
+
+    monkeypatch.setattr(runtime, "_exec_block", fail)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_obfuscated(obfuscate(kernel("prime"), 3, seed=8), concurrent=True)
+    assert wait_for_thread_count(threads) == threads
+
+
+# A fresh process that first widens its CPU set, which it inherits from
+# the calling thread: a pin left behind by an earlier run would otherwise
+# hide a missing restore. The no-flag run is NO_WAY_BACK's program.
+AFFINITY_BY_REASON = """
+import os
+os.sched_setaffinity(0, range(os.cpu_count()))  # the kernel keeps only the allowed CPUs
+from threadsplit.kernels import kernel_text
+from threadsplit.obfuscate import WaitSet, obfuscate
+from threadsplit.runtime import Schedule, run_obfuscated
+from threadsplit.textfmt import parse
+
+stuck = obfuscate(parse(kernel_text("prime")), 3, 0)
+owner = stuck.threads[stuck.partition.assign[stuck.source.entry]]
+for b in owner.per_block_wait:
+    owner.per_block_wait[b] = WaitSet(frozenset())
+trap = parse("func f {\\n  block a:\\n    q = x / zero\\n    halt\\n}\\n")
+runs = [(obfuscate(parse(kernel_text("prime")), 3, 8), None),
+        (obfuscate(trap, 2, 1), None),
+        (obfuscate(parse(kernel_text("prime")), 2, 0), Schedule(step_budget=100)),
+        (stuck, None)]
+before = os.sched_getaffinity(0)
+for prog, sched in runs:
+    trace = run_obfuscated(prog, sched=sched, concurrent=True)
+    print(trace.reason, os.sched_getaffinity(0) == before)
+"""
+
+
+@PINNING
+def test_concurrent_run_restores_caller_affinity_for_every_reason():
+    proc = run_child("-X", "dev", "-c", AFFINITY_BY_REASON)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        f"{reason} True" for reason in (COMPLETED, TRAP, BUDGET, NO_FLAG)] + [""]
+
+
+def test_concurrent_run_from_another_thread_matches_sequential():
+    got = {}
+
+    def run_all():
+        before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        for name in KERNELS:
+            for m in (1, 2, 3):
+                trace = run_obfuscated(obfuscate(kernel(name), m, seed=6), concurrent=True)
+                got[name, m] = (trace.status, trace.output, trace.block_sequence())
+        got["affinity"] = before == (os.sched_getaffinity(0) if before else None)
+
+    caller = threading.Thread(target=run_all)
+    caller.start()
+    caller.join(60)
+    assert not caller.is_alive()
+    assert got.pop("affinity")
+    for (name, m), result in got.items():
+        ref = run_sequential(kernel(name))
+        assert result == (ref.status, ref.output, ref.block_sequence()), (name, m)
+    assert len(got) == 3 * len(KERNELS)
 
 
 # Where the OS refuses the pin, the workers run unpinned.
