@@ -30,11 +30,11 @@ flag up once it has cleared its own counts in `flag_violations`.
 
 One stop rule holds in every mode: the budget counts executed blocks,
 and a run that executes that many without halting ends with status
-"deadlock" (reason "budget"). Polling changes no state, so a worker
-that has polled its whole wait set in vain since a flag of its own was
-last raised cannot advance until another one is. Once every worker is
-in that state with DONE down, no worker can ever advance: the run ends
-at once, also as "deadlock" (reason "no-flag").
+"deadlock" (reason "budget"). Polling changes no state, so the flags and
+every wait list stay as the last handoff left them; once it has raised
+a flag, a worker can advance iff its wait list holds a raised flag. If
+none can, with DONE down, that handoff (or, for the entry flag, the run's
+start) ends the run at once, also as "deadlock" (reason "no-flag").
 """
 
 from __future__ import annotations
@@ -206,8 +206,10 @@ def run_obfuscated(prog: ObfuscatedProgram, inputs: dict[str, int] | None = None
 class _Guards:
     """One obfuscated run's shared state: the guard flags, one byte per
     block with DONE at index n, each worker's current wait list, the
-    trace, and `handoff`, the protocol step both engines drive.
-    `mutation` bends the step for fault injection."""
+    trace, and `handoff`, the protocol step both engines drive. The
+    entry and each handoff that raises a flag check that some worker can
+    still advance, and stop the run as "no-flag" if none can (see the
+    module docstring). `mutation` bends the step for fault injection."""
 
     def __init__(self, prog: ObfuscatedProgram, inputs, budget: int,
                  mutation: Mutation = Mutation.NONE):
@@ -219,6 +221,7 @@ class _Guards:
         self.trace = trace = ExecutionTrace()
         records, output = trace.records, trace.output
         blocks, store = prog.source.blocks, dict(inputs or {})
+        owner = prog.partition.assign
         clear = mutation is not Mutation.SKIP_CLEAR
         raise_next = mutation is not Mutation.SKIP_RAISE
         wrong_successor = mutation is Mutation.WRONG_SUCCESSOR
@@ -229,12 +232,16 @@ class _Guards:
             trace.reason = reason
             flags[done] = 1
 
+        def any_waited() -> bool:
+            """Whether some worker's wait list holds a raised flag."""
+            return any(flags[f] for ws in waits for f in ws)
+
         def handoff(w: int, b: int, step: int) -> int:
             """Worker `w` found flag `b` up: clear it, record (step, w, b),
             adopt the block's wait list, run the block and raise its
             successor's flag, or DONE after the exit block or a trap.
             Returns the flag raised, or -1, having stopped the run, if the
-            budget allows no further block."""
+            budget allows no further block or no worker can advance."""
             nonlocal raised
             if len(records) == budget:
                 stop(BUDGET)
@@ -261,22 +268,28 @@ class _Guards:
             if raise_next and not flags[nxt]:
                 raised += 1  # before the flag goes up, as above
                 flags[nxt] = 1
-            return nxt
+            # The owner of `nxt` waits on it after every correct handoff, so
+            # only a fault or a broken wait list gets to the scan. With DONE
+            # up, every worker exits once it finds no waited flag anyway.
+            if (flags[nxt] and nxt in waits[owner[nxt]]) or flags[done] or any_waited():
+                return nxt
+            stop(NO_FLAG)
+            return -1
 
-        # Closures, not methods, so that a step costs one plain call; they
-        # do not refer to self, so a finished run is freed without waiting
-        # for the cycle collector.
-        self.stop, self.handoff = stop, handoff
-        flags[prog.source.entry] = 1
+        # A closure, not a method, so that a step costs one plain call; it
+        # does not refer to self, so a finished run is freed without
+        # waiting for the cycle collector.
+        self.handoff = handoff
+        entry = prog.source.entry
+        flags[entry] = 1
+        if not any_waited():
+            stop(NO_FLAG)
 
 
 def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> ExecutionTrace:
     core = _Guards(prog, inputs, sched.step_budget, mutation)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
     live = list(range(prog.m))
-    # Stop rule: bit w of `idle` is set once worker w has polled in vain
-    # since the last handoff; when every bit is set, no worker can advance.
-    idle, everyone = 0, (1 << prog.m) - 1
     chooser = rng.Rng(sched.seed) if sched.mode == RANDOM else None
     pos = step = 0
 
@@ -290,17 +303,12 @@ def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> Executi
             if flags[b]:
                 if handoff(w, b, step) < 0:
                     return trace
-                idle = 0
                 pos += 1
                 break
         else:
             if flags[done]:
                 live.pop(pos)  # exit; the next worker slides into this slot
             else:
-                idle |= 1 << w
-                if idle == everyone:
-                    core.stop(NO_FLAG)
-                    live.clear()
                 pos += 1
         step += 1
     return trace
@@ -338,23 +346,10 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
             except RuntimeError:
                 pass
 
-    # Stop rule, per worker: bit w of `idle` is set once worker w polls
-    # in vain with `raises[w]`, the count of raises of its flags, the same
-    # before the poll and under the lock after it. A handoff counts its
-    # raise once the flag is up, and clears the bits of the worker that
-    # ran and of the flag's owner, so a worker that is running or has a
-    # flag coming never counts as idle. Reading `idle` before taking the
-    # lock only skips polls already counted.
-    lock = threading.Lock()
-    raises = [0] * m
-    idle, everyone = 0, (1 << m) - 1
-
     def worker(w: int):
-        nonlocal idle
-        park, me = parks[w], 1 << w
+        park = parks[w]
         park.acquire()
         while True:
-            seen = raises[w]
             for b in waits[w]:
                 if flags[b]:
                     # Only the worker holding the one raised flag appends
@@ -363,24 +358,12 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
                     if to < 0 or to == done:
                         wake(*range(m))
                         return
-                    v = owner[to]
-                    with lock:
-                        raises[v] += 1
-                        idle &= ~(me | 1 << v)
-                    if v != w:
-                        wake(v)
+                    if owner[to] != w:
+                        wake(owner[to])
                     break
             else:
                 if flags[done]:
                     return
-                if not idle & me:
-                    with lock:
-                        if raises[w] == seen:
-                            idle |= me
-                            if idle == everyone:
-                                core.stop(NO_FLAG)
-                                wake(*range(m))
-                                return
                 park.acquire()
 
     def abort() -> None:

@@ -127,6 +127,29 @@ def test_partition_roughly_uniform():
         assert 3700 <= c <= 4300
 
 
+# The chi-square quantile at p = 0.999 for (m-1)^2 degrees of freedom.
+CHI2_999 = {2: 10.828, 3: 18.467, 4: 27.877, 5: 39.252}
+
+
+@pytest.mark.parametrize("m", sorted(CHI2_999))
+def test_partition_adjacent_blocks_independent(m):
+    # Chi-square test of independence on the m x m table of the threads of
+    # blocks b and b+1. Fixed seeds make it deterministic; an assignment
+    # that repeats the previous block's thread one time in ten scores
+    # above 100 here at m=4.
+    cfg = chain(4001)
+    for seed in range(3):
+        assign = partition_blocks(cfg, m, seed).assign
+        table = [[0] * m for _ in range(m)]
+        for b in range(cfg.n - 1):
+            table[assign[b]][assign[b + 1]] += 1
+        rows, cols = [sum(r) for r in table], [sum(c) for c in zip(*table)]
+        expect = [[r * c / (cfg.n - 1) for c in cols] for r in rows]
+        chi2 = sum((table[i][j] - expect[i][j]) ** 2 / expect[i][j]
+                   for i in range(m) for j in range(m))
+        assert chi2 < CHI2_999[m], (m, seed, chi2)
+
+
 # Thread construction.
 
 def test_thread_cfg_empty_partition():

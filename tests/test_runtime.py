@@ -238,10 +238,11 @@ def test_budget_counts_executed_blocks_in_every_engine():
 
 
 # argv[1] is m. The entry block's owner waits on nothing after any of its
-# blocks, so once control comes back to it no worker can ever advance.
-# From m=3 on, some worker runs no block before that: it polls in vain,
-# parks, and no raise wakes it again, so only a stop rule that keeps its
-# idle bit across other workers' handoffs ends the run.
+# blocks, so once control comes back to it no worker can ever advance, and
+# the handoff that raises that flag stops the run. From m=3 on, some
+# worker runs no block before that and is still parked when the run stops.
+# With argv[2] "entry", the owner's entry wait is empty too: nobody waits
+# on the entry flag, and the run stops before its first block.
 NO_WAY_BACK = """
 import sys
 from threadsplit.kernels import kernel_text
@@ -253,15 +254,18 @@ prog = obfuscate(parse(kernel_text("prime")), int(sys.argv[1]), 0)
 owner = prog.threads[prog.partition.assign[prog.source.entry]]
 for b in owner.per_block_wait:
     owner.per_block_wait[b] = WaitSet(frozenset())
+if sys.argv[2:] == ["entry"]:
+    owner.entry_wait = WaitSet(frozenset())
 for concurrent in (False, True):
     trace = run_obfuscated(prog, sched=Schedule(step_budget=10**12), concurrent=concurrent)
     print(trace.status, trace.reason, len(trace.records))
 """
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_run_no_worker_can_advance_stops_at_once(m):
-    proc = run_child("-X", "dev", "-c", NO_WAY_BACK, str(m))
+@pytest.mark.parametrize("argv", [["2"], ["3"], ["4"], ["5"], ["2", "entry"], ["5", "entry"]],
+                         ids="-".join)
+def test_run_no_worker_can_advance_stops_at_once(argv):
+    proc = run_child("-X", "dev", "-c", NO_WAY_BACK, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     (sched_status, sched_reason, sched_blocks), (conc_status, conc_reason, conc_blocks) = (
@@ -270,6 +274,7 @@ def test_run_no_worker_can_advance_stops_at_once(m):
     assert sched_reason == conc_reason == NO_FLAG
     # Both engines stop at the same block: the first one nobody waits for.
     assert sched_blocks == conc_blocks
+    assert (sched_blocks == "0") == (argv[1:] == ["entry"])
 
 
 def test_m1_replays_sequential_exactly():
@@ -356,6 +361,103 @@ def test_scheduled_records_are_pinned():
         assert trace.status == COMPLETED
         got = hashlib.sha256(json.dumps(trace.records).encode()).hexdigest()
         assert got == digest, (name, m, label)
+
+
+# sha256 of the JSON of (records, output, reason, flag_violations) of each
+# mutated scheduled run of a bundled kernel at partition seed 0, allowed as
+# many blocks as the reference runs, as in `verify.check_mutations`.
+MUTATION_DIGESTS = {
+    ("evens", 2, "skip-clear", "round-robin"):
+        "6f8e214b0726d07bdd7066cb55f1e2cc4f251e467adef333177d76c3e0cfd6b0",
+    ("evens", 2, "skip-clear", "random:0"):
+        "3b97856242044da0e7a7a5c8dc1cef3d94e78b90e3597a8c6a900632fc0ad63e",
+    ("evens", 2, "skip-raise", "round-robin"):
+        "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
+    ("evens", 2, "skip-raise", "random:0"):
+        "686d029e93eb97cb122e2a2c98b36c9c2f335807358757e991fe47d03f413b0b",
+    ("evens", 2, "wrong-successor", "round-robin"):
+        "6fc884931e2675e741a8c4e76cef0980f4e3af3068464c0de8d8886261cdc70e",
+    ("evens", 2, "wrong-successor", "random:0"):
+        "9eab66e1bfcfd53f2dad2fd05009fe8b93e7780de2f199cf438966285a025944",
+    ("evens", 3, "skip-clear", "round-robin"):
+        "cb33a97f689a7dd54e4b32e14f5de3e668f61c62e44c476d76cc5d5ec71d1da5",
+    ("evens", 3, "skip-clear", "random:0"):
+        "355432fd72d13fbb8b6e717d5849b295825bffff4da3a235e666a292f7ea118a",
+    ("evens", 3, "skip-raise", "round-robin"):
+        "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
+    ("evens", 3, "skip-raise", "random:0"):
+        "686d029e93eb97cb122e2a2c98b36c9c2f335807358757e991fe47d03f413b0b",
+    ("evens", 3, "wrong-successor", "round-robin"):
+        "d9f4ceeb449367dee094dd95f8d6a32faf7dc16cbe1ad29f78a9ac4293278e81",
+    ("evens", 3, "wrong-successor", "random:0"):
+        "37fd9c3c971043c3fd00de73d98519215e5958221598a1a1da08d8713585377a",
+    ("fib", 2, "skip-clear", "round-robin"):
+        "4334b59747640b2b916e4aa8331a48f3a49b137d787aae157c280080ab4951e3",
+    ("fib", 2, "skip-clear", "random:0"):
+        "a15858d6bc9caaedb4ae8259f953f0074e57d0ca18ce3bf05073ac9525792116",
+    ("fib", 2, "skip-raise", "round-robin"):
+        "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
+    ("fib", 2, "skip-raise", "random:0"):
+        "686d029e93eb97cb122e2a2c98b36c9c2f335807358757e991fe47d03f413b0b",
+    ("fib", 2, "wrong-successor", "round-robin"):
+        "2d2766826e8fb45b05094206620fdc823d227db057e9dc78702017a83a333c2c",
+    ("fib", 2, "wrong-successor", "random:0"):
+        "2840a5d899d6e6806ae416c725db6637895c4c2eb9791bce9467a1e4f30e3cf5",
+    ("fib", 3, "skip-clear", "round-robin"):
+        "791da41f7cee02ee5ac37e98854241c9251995e84964c7743997dd155a20465a",
+    ("fib", 3, "skip-clear", "random:0"):
+        "3f7f25823dad4cade6526fd0a2208ce2fa1916129de12c6a0f3b203d11213cc3",
+    ("fib", 3, "skip-raise", "round-robin"):
+        "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
+    ("fib", 3, "skip-raise", "random:0"):
+        "686d029e93eb97cb122e2a2c98b36c9c2f335807358757e991fe47d03f413b0b",
+    ("fib", 3, "wrong-successor", "round-robin"):
+        "d10264fa78eb3a0439b0851291653a7581feb8c1938e1fef97559669e37f20a8",
+    ("fib", 3, "wrong-successor", "random:0"):
+        "6d989ba79d9efb35d2b5fa6ce0e8e50ab3059684e19ae1b7f75d8ec3e21e88db",
+    ("prime", 2, "skip-clear", "round-robin"):
+        "cc1681ceba1c896d68876f329ac876a0d2ed6abc823b8e8ba7978beebca4eed1",
+    ("prime", 2, "skip-clear", "random:0"):
+        "4fa5421671c4ce55638f24d8ebc531a1490c6451eb855df64e464a63c075f798",
+    ("prime", 2, "skip-raise", "round-robin"):
+        "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
+    ("prime", 2, "skip-raise", "random:0"):
+        "686d029e93eb97cb122e2a2c98b36c9c2f335807358757e991fe47d03f413b0b",
+    ("prime", 2, "wrong-successor", "round-robin"):
+        "e05f156da37f051d63b2328277ebfe409fdb64b3cb60190f0d6fd513c813c0ec",
+    ("prime", 2, "wrong-successor", "random:0"):
+        "23adaffaeeba2b226453044d46424faedac84bfb1eee93c9cbb5006f431d756c",
+    ("prime", 3, "skip-clear", "round-robin"):
+        "876f8d7e8250ad1ef2e86e52ac7b19b8072026c7c87ef7b2f6838724a129e443",
+    ("prime", 3, "skip-clear", "random:0"):
+        "a09c2ac04a45adf7d8fa9978da855ee15973e0fff3c7328823e0500fffc84092",
+    ("prime", 3, "skip-raise", "round-robin"):
+        "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
+    ("prime", 3, "skip-raise", "random:0"):
+        "686d029e93eb97cb122e2a2c98b36c9c2f335807358757e991fe47d03f413b0b",
+    ("prime", 3, "wrong-successor", "round-robin"):
+        "b27c0045cfe8bee2202f5a4e0b4ed00b42e8b1bbf4b8d0c2c5d7905c1731ef19",
+    ("prime", 3, "wrong-successor", "random:0"):
+        "d1194ec6452f7e29ccdbff342ba205a32e05a276d2c6abb5f9a0f1e554afc148",
+}
+
+
+def test_mutated_runs_are_pinned():
+    for name in KERNELS:
+        cfg = kernel(name)
+        budget = len(run_sequential(cfg).records)
+        for m in (2, 3):
+            prog = obfuscate(cfg, m, 0)
+            for mutation in (Mutation.SKIP_CLEAR, Mutation.SKIP_RAISE, Mutation.WRONG_SUCCESSOR):
+                for label in ("round-robin", "random:0"):
+                    mode, _, seed = label.partition(":")
+                    trace = run_obfuscated(prog, sched=Schedule(mode, int(seed or 0), budget),
+                                           mutation=mutation)
+                    got = hashlib.sha256(json.dumps(
+                        [trace.records, trace.output, trace.reason, trace.flag_violations]
+                    ).encode()).hexdigest()
+                    assert got == MUTATION_DIGESTS[name, m, mutation.value, label], (
+                        name, m, mutation, label)
 
 
 def test_random_schedule_deterministic_per_seed():
@@ -606,9 +708,9 @@ def test_concurrent_runs_where_pinning_is_refused():
 
 # More workers than cores, and a switch interval far below the default so
 # the threads interleave at many more points; the child process exits
-# with its switch interval. A lost raise count or a worker counted idle
-# while a flag was coming would stop a run early as a deadlock; a lost
-# wake would leave a worker parked, and the child's timeout fails it.
+# with its switch interval. A no-flag stop decided while a waited flag
+# was up would end a run early as a deadlock; a lost wake would leave a
+# worker parked, and the child's timeout fails it.
 CONC_STRESS = """
 import sys
 sys.setswitchinterval(1e-5)
@@ -638,11 +740,11 @@ def test_concurrent_stress_never_stops_early():
 
 
 # The flag owner's vain poll overlaps the raise of its flag: the owner w
-# has polled in vain and waits, before it takes the stop rule's lock,
-# until the entry block's owner v has raised w's flag, counted the raise
-# and started its next poll. The stop rule must then see w's raise count
-# move and not count w as idle; if it did, v's own vain poll would make
-# every worker idle and stop the run as "no-flag" with w's flag up.
+# has polled in vain and waits, before it parks, until the entry block's
+# owner v has raised w's flag, woken w and started its next poll. The wake
+# reaches w before w parks, so w must take it as pending and poll again;
+# a lost wake would leave w parked with its flag up, v would park after
+# its own vain poll, and the child's timeout fails the test.
 RAISE_RACE = """
 import threading
 from threadsplit import runtime
@@ -657,7 +759,7 @@ prog = next(p for p in (obfuscate(cfg, 2, seed) for seed in range(100))
             if p.partition.assign[first] != p.partition.assign[second])
 v = prog.partition.assign[first]
 w = 1 - v
-polled, counted = threading.Event(), threading.Event()
+polled, raised = threading.Event(), threading.Event()
 
 
 class Hooked:
@@ -671,19 +773,22 @@ class Hooked:
         if self.after:
             self.after()
 
+    def __contains__(self, b):
+        return b in self.flags  # the handoff's stop check, not a poll
+
 
 class Guards(runtime._Guards):
     def __init__(self, *args):
         super().__init__(*args)
         waits, inner = self.waits, self.handoff
-        waits[w] = Hooked(waits[w], after=lambda: (polled.set(), counted.wait()))
+        waits[w] = Hooked(waits[w], after=lambda: (polled.set(), raised.wait()))
 
         def handoff(u, b, step):
             if step == 0:
                 polled.wait()
             to = inner(u, b, step)
             if step == 0:
-                waits[u] = Hooked(waits[u], before=counted.set)
+                waits[u] = Hooked(waits[u], before=raised.set)
             return to
 
         self.handoff = handoff
@@ -691,7 +796,7 @@ class Guards(runtime._Guards):
 
 runtime._Guards = Guards
 trace = runtime.run_obfuscated(prog, concurrent=True)
-assert polled.is_set() and counted.is_set()
+assert polled.is_set() and raised.is_set()
 if (trace.reason, trace.block_sequence()) != (ref.reason, ref.block_sequence()):
     print(trace.reason, len(trace.records), len(ref.records))
 """
