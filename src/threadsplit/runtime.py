@@ -11,10 +11,12 @@ semantics (undefined variables read as 0):
   polling the shared guard flags: the calling thread is worker 0 and
   starts the other m-1. CPython's GIL provides the
   sequentially-consistent memory contract the protocol assumes. A
-  worker that polls its wait set in vain parks until a flag of its own
-  or DONE is raised, then polls its whole wait set again. Where the OS
-  allows it, every worker runs on the CPU the caller was on when the
-  run began.
+  worker that polls its wait set in vain parks in a read of its own
+  pipe until a flag of its own or DONE is raised, then polls its whole
+  wait set again; the waker writes a byte to that pipe, and lets go of
+  the GIL before the write, so the woken worker need not wait for the
+  GIL a second time. Where the OS allows it, every worker runs on the
+  CPU the caller was on when the run began.
 
 Protocol: all flags start 0, then the entry block's flag is raised.
 A worker polls its current wait set in ascending block-id order; on
@@ -335,20 +337,37 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     core = _Guards(prog, inputs, budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
     records, owner = trace.records, prog.partition.assign
-    # A worker parks on its own lock, held from its start; a release wakes
-    # it. Releasing a free lock fails: that worker has a wake pending.
-    parks = [threading.Lock() for _ in range(m)]
+    # A worker parks in a read of its own pipe, and a byte written to the
+    # pipe wakes it; one read takes in up to 64 pending wakes. `os.write`
+    # lets go of the GIL before the write that wakes the reader, so the
+    # woken worker takes the GIL on its first wake; a lock release would
+    # wake it only to wait for the GIL a second time. Every pipe is open
+    # before any worker starts and closed after every worker has ended.
+    fds: list[int] = []  # each worker's read end, then its write end
+    try:
+        for _ in range(m):
+            fds += os.pipe()
+            os.set_blocking(fds[-1], False)
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    parks, bells = fds[0::2], fds[1::2]
 
     def wake(*ws: int) -> None:
+        # Wakes can pile up unread: a worker reads its pipe only when it
+        # parks, and one that keeps finding a flag up at its next poll runs
+        # on without parking while the workers handing back to it write a
+        # byte each time. A full pipe already holds a pending wake, so a
+        # write that would block is dropped rather than stalling the waker.
         for v in ws:
             try:
-                parks[v].release()
-            except RuntimeError:
+                os.write(bells[v], b"\0")
+            except BlockingIOError:
                 pass
 
     def worker(w: int):
         park = parks[w]
-        park.acquire()
         while True:
             for b in waits[w]:
                 if flags[b]:
@@ -364,7 +383,7 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
             else:
                 if flags[done]:
                     return
-                park.acquire()
+                os.read(park, 64)
 
     def abort() -> None:
         """Raise DONE and wake every worker, so that none stays parked."""
@@ -411,6 +430,8 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
     finally:
         for ended in started:
             ended.acquire()
+        for fd in fds:
+            os.close(fd)
         if mine:
             os.sched_setaffinity(0, mine)
     if failed:

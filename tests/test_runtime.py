@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from helpers import chain, reference_binop, run_child
 from threadsplit import runtime
 from threadsplit.ir import BINARY_OPS, INT_MAX, INT_MIN, BasicBlock, BinOp, Cfg, Halt, Print
 from threadsplit.kernels import KERNELS, kernel_text
-from threadsplit.obfuscate import Partition, build_thread_cfg, obfuscate
+from threadsplit.obfuscate import Partition, WaitSet, build_thread_cfg, obfuscate
 from threadsplit.runtime import (
     BUDGET,
     COMPLETED,
@@ -599,19 +600,48 @@ def wait_for_thread_count(count: int) -> int:
     return runtime._thread._count()
 
 
+def open_fds() -> int | None:
+    """How many file descriptors this process has open, or None where
+    /proc/self/fd does not list them."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+PROC_FD = pytest.mark.skipif(open_fds() is None, reason="no /proc/self/fd")
+
+
+def no_way_back(m: int):
+    """Prime at m with NO_WAY_BACK's fault: the entry block's owner waits
+    on nothing after any of its blocks, so the run stops as no-flag."""
+    prog = obfuscate(kernel("prime"), m, 0)
+    owner = prog.threads[prog.partition.assign[prog.source.entry]]
+    for b in owner.per_block_wait:
+        owner.per_block_wait[b] = WaitSet(frozenset())
+    return prog
+
+
 def test_concurrent_run_leaves_no_thread_behind():
-    threads, registered = runtime._thread._count(), threading.enumerate()
+    threads, registered, fds = runtime._thread._count(), threading.enumerate(), open_fds()
     for name in KERNELS:
         for m in (2, 4):
             run_obfuscated(obfuscate(kernel(name), m, seed=5), concurrent=True)
+    for prog, sched, reason in [
+            (obfuscate(program(DIV_ZERO), 2, seed=1), None, TRAP),
+            (obfuscate(kernel("prime"), 2, seed=0), Schedule(step_budget=100), BUDGET),
+            (no_way_back(3), None, NO_FLAG)]:
+        assert run_obfuscated(prog, sched=sched, concurrent=True).reason == reason
     assert wait_for_thread_count(threads) == threads
     # The workers never called into `threading`, so none is registered.
     assert threading.enumerate() == registered
+    # Each worker's pipe is closed, whatever stopped the run.
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "started-worker"])
 def test_concurrent_worker_error_stops_every_worker(monkeypatch, in_caller):
-    threads, caller = runtime._thread._count(), threading.get_ident()
+    threads, fds, caller = runtime._thread._count(), open_fds(), threading.get_ident()
     real = runtime._exec_block
 
     def fail(*args):
@@ -623,6 +653,68 @@ def test_concurrent_worker_error_stops_every_worker(monkeypatch, in_caller):
     with pytest.raises(RuntimeError, match="worker failed"):
         run_obfuscated(obfuscate(kernel("prime"), 3, seed=8), concurrent=True)
     assert wait_for_thread_count(threads) == threads
+    assert open_fds() == fds
+
+
+@PROC_FD
+def test_concurrent_run_whose_pipes_fail_to_open_starts_nothing(monkeypatch):
+    threads, fds = runtime._thread._count(), open_fds()
+    real, opened = runtime.os.pipe, []
+
+    def second_fails():
+        if len(opened) == 1:
+            raise OSError(errno.EMFILE, "Too many open files")
+        opened.append(real())
+        return opened[-1]
+
+    monkeypatch.setattr(runtime.os, "pipe", second_fails)
+    with pytest.raises(OSError, match="Too many open files"):
+        run_obfuscated(obfuscate(kernel("prime"), 3, seed=8), concurrent=True)
+    assert len(opened) == 1
+    assert runtime._thread._count() == threads
+    assert open_fds() == fds
+
+
+# Every worker's pipe starts full, as if wakes had piled up unread. A wake
+# into a full pipe must be dropped, since that pipe already holds a pending
+# wake; a waker that waited for room would stall on its own pipe at DONE,
+# and the child's timeout fails the test.
+FULL_PIPES = """
+import os
+from threadsplit.kernels import kernel_text
+from threadsplit.obfuscate import obfuscate
+from threadsplit.runtime import run_obfuscated, run_sequential
+from threadsplit.textfmt import parse
+
+real = os.pipe
+
+
+def full_pipe():
+    r, w = real()
+    os.set_blocking(w, False)
+    for size in (4096, 1):
+        try:
+            while True:
+                os.write(w, bytes(size))
+        except BlockingIOError:
+            pass
+    os.set_blocking(w, True)
+    return r, w
+
+
+os.pipe = full_pipe
+cfg = parse(kernel_text("prime"))
+ref = run_sequential(cfg)
+for m in (2, 3):
+    trace = run_obfuscated(obfuscate(cfg, m, 8), concurrent=True)
+    print(trace.block_sequence() == ref.block_sequence())
+"""
+
+
+def test_concurrent_wake_into_a_full_pipe_is_not_waited_on():
+    proc = run_child("-X", "dev", "-c", FULL_PIPES)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("True\nTrue\n", "")
 
 
 # A fresh process that first widens its CPU set, which it inherits from
