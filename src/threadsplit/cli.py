@@ -50,11 +50,13 @@ class CliError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliError(f"file not found: {path}")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"cannot read {path}: not UTF-8 text (byte offset {e.start})")
 
 
 def _load_cfg(path: str) -> Cfg:
@@ -89,7 +91,7 @@ def _parse_defines(pairs: list[str] | None) -> dict[str, int]:
 
 def _write_text(path: str | Path, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot write {path}: {e.strerror or e}")
 
@@ -134,7 +136,10 @@ def cmd_run(args) -> int:
         mode = ROUND_ROBIN if args.schedule == "rr" else RANDOM
         sched = Schedule(mode, args.schedule_seed, args.budget)
         t0 = time.perf_counter()
-        trace = run_obfuscated(prog, inputs, sched=sched, concurrent=args.mode == "conc")
+        try:
+            trace = run_obfuscated(prog, inputs, sched=sched, concurrent=args.mode == "conc")
+        except OSError as e:  # a conc run opens one pipe per worker first
+            raise CliError(f"cannot run {prog.m} workers: {e.strerror or e}")
         if args.mode == "conc":
             print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     for value in trace.output:

@@ -32,7 +32,7 @@ def is_var_name(name: str) -> bool:
     return bool(_NAME_RE.match(name))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstAssign:
     """dest = <64-bit signed literal>"""
 
@@ -40,7 +40,7 @@ class ConstAssign:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     """dest = lhs <op> rhs; comparison ops yield 0 or 1."""
 
@@ -50,7 +50,7 @@ class BinOp:
     rhs: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Print:
     """Append the value of `src` to the program output."""
 
@@ -60,19 +60,19 @@ class Print:
 Instr = ConstAssign | BinOp | Print
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Jump:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     cond: str
     iftrue: int
     iffalse: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Halt:
     pass
 
@@ -80,7 +80,7 @@ class Halt:
 Terminator = Jump | Branch | Halt
 
 
-@dataclass
+@dataclass(slots=True)
 class BasicBlock:
     id: int
     label: str

@@ -292,8 +292,9 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
 
     The stored assignment is authoritative (it may have been hand-tuned);
     wait sets are recomputed from it and cross-checked against the stored
-    ones so corruption or a cfg/file mismatch is detected. Any malformed
-    file raises ValueError.
+    ones, thread by thread, so corruption or a cfg/file mismatch is
+    detected at the first thread that differs. Any malformed file raises
+    ValueError.
     """
     try:
         doc = json.loads(text)
@@ -322,11 +323,12 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
 
     partition = Partition(m=m, assign=dict(enumerate(assign)), seed=seed)
     succs = ir.successor_map(cfg)
-    threads = [build_thread_cfg(cfg, partition, t, succs) for t in range(m)]
-    for tcfg, stored in zip(threads, stored_threads):
-        if _thread_doc(tcfg) != stored:
+    threads = []
+    for t, stored in enumerate(stored_threads):
+        threads.append(build_thread_cfg(cfg, partition, t, succs))
+        if _thread_doc(threads[-1]) != stored:
             raise ValueError(
-                f"thread {tcfg.thread_index} in program file does not match the "
+                f"thread {t} in program file does not match the "
                 f"given cfg (stale or edited file?)"
             )
     return ObfuscatedProgram(cfg, partition, threads)

@@ -22,12 +22,22 @@ Grammar (one function per file):
 statements inside a block are separated by newlines. Block ids are
 assigned in textual order starting at 0; the first block is the entry.
 
-One regular expression splits the text into plain string tokens, and a
-token's kind is read off its text. Line and column are worked out only
-for a ParseError, by scanning again up to the offending token. Errors
-found after parsing (unknown labels aside) come from ir.validate and
-are reported at the label of the first block the first error names,
-or at 1:1 when it names none.
+`parse` tries two parsers in turn. The line matcher (`_parse_common`)
+reads the usual layout, one statement per line, with one regular
+expression match per line. It only accepts: on any text it does not
+take whole, valid and in that layout, it gives up without a word, and
+the token parser (`_parse_tokens`) reads the text from the start. The
+token parser is the only source of ParseError. It checks every
+character before it parses, so a stray character is reported before an
+earlier syntax error: an order a line-at-a-time reader would have to
+tokenize the whole text to match.
+
+The token parser splits the text into plain string tokens with one
+regular expression, and a token's kind is read off its text. Line and
+column are worked out only for a ParseError, by scanning again up to
+the offending token. Errors found after parsing (unknown labels aside)
+come from ir.validate and are reported at the label of the first block
+the first error names, or at 1:1 when it names none.
 """
 
 from __future__ import annotations
@@ -53,6 +63,27 @@ _TOKEN_RE = re.compile(
 )
 _PUNCT = frozenset(("<=", "==", "!=", "\n", "")) | frozenset("=+-*/%<,:{}")
 _END_OF_STATEMENT = ("block", "}", "")
+
+# The line matcher: after the `func NAME {` header, one match per line
+# (the header's own line goes on right after its `{`). A line holds one
+# statement or none, then blanks, an optional comment and its newline or
+# the end of the text; any other line fills the last group. Names are
+# ASCII and not keywords, and literals have at most 19 digits: whatever
+# else the token parser reads is left to it. Groups: block label; dest,
+# lhs, op, rhs or dest, number; print or jump and its name; br's three
+# names; halt or `}`; the bad line.
+_NAME = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})(?!\w))[A-Za-z_][A-Za-z0-9_]*(?!\w)"
+_BLANK = r"[ \t\r]*"
+_COMMENT = r"(?:#[^\n]*)?"
+_HEADER_RE = re.compile(rf"(?:{_BLANK}{_COMMENT}\n)*{_BLANK}func[ \t\r]+({_NAME}){_BLANK}\{{")
+_LINE_RE = re.compile(
+    rf"{_BLANK}(?:(?:block[ \t\r]+({_NAME}){_BLANK}:"
+    rf"|({_NAME}){_BLANK}={_BLANK}(?:({_NAME}){_BLANK}(<=|==|!=|[-+*/%<]){_BLANK}({_NAME})"
+    rf"|(-?[0-9]{{1,19}}(?!\w)))"
+    rf"|(print|jump)[ \t\r]+({_NAME})"
+    rf"|br[ \t\r]+({_NAME}){_BLANK},{_BLANK}({_NAME}){_BLANK},{_BLANK}({_NAME})"
+    rf"|(halt|\}})){_BLANK})?{_COMMENT}(?:\n|\Z)|(.+)\n?"
+)
 
 
 @dataclass(frozen=True)
@@ -153,6 +184,67 @@ def _describe(tok: str) -> str:
 
 def parse(text: str) -> Cfg:
     """Parse a program into a validated Cfg; raises ParseError on bad input."""
+    cfg = _parse_common(text)
+    return cfg if cfg is not None else _parse_tokens(text)
+
+
+def _parse_common(text: str) -> Cfg | None:
+    """The Cfg of a program laid out one statement per line, or None for
+    anything else: a line that does not match, a statement out of place,
+    an unknown label or a cfg with problems (a duplicate label or an
+    out-of-range literal among them). It never reports; `_parse_tokens`
+    does."""
+    head = _HEADER_RE.match(text)
+    if head is None:
+        return None
+    blocks: list[BasicBlock] = []
+    labels: dict[str, int] = {}
+    # (block, branch condition or "" for a jump, target label, target label)
+    pending: list[tuple[BasicBlock, str, str, str]] = []
+    add = None  # appends to the open block's instructions, until its terminator
+    closed = False
+    for (label, dest, lhs, op, rhs, num, word, arg, cond, iftrue, iffalse, end,
+         bad) in _LINE_RE.findall(text, head.end()):
+        if dest:
+            if add is None:
+                return None
+            add(BinOp(dest, lhs, op, rhs) if op else ConstAssign(dest, int(num)))
+        elif label:
+            if add is not None or closed:
+                return None
+            labels[label] = len(blocks)
+            blk = BasicBlock(len(blocks), label)
+            blocks.append(blk)
+            add = blk.instrs.append
+        elif word == "print":
+            if add is None:
+                return None
+            add(Print(arg))
+        elif word or cond or end == "halt":  # a terminator closes the block
+            if add is None:
+                return None
+            if word or cond:
+                pending.append((blk, cond, arg or iftrue, arg or iffalse))
+            add = None
+        elif end:
+            if add is not None or closed:
+                return None
+            closed = True
+        elif bad:
+            return None
+    if not closed:
+        return None
+    for blk, cond, iftrue, iffalse in pending:
+        if iftrue not in labels or iffalse not in labels:
+            return None
+        blk.term = Branch(cond, labels[iftrue], labels[iffalse]) if cond else Jump(labels[iftrue])
+    cfg = Cfg(name=head[1], blocks=blocks)
+    return None if cfg.problems else cfg
+
+
+def _parse_tokens(text: str) -> Cfg:
+    """The reference parser, and the only one that reports: it reads the
+    text token by token and raises ParseError at the first error."""
     p = _Parser(text)
     p.skip_newlines()
     p.expect("func")

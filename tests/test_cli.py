@@ -1,3 +1,4 @@
+import errno
 import json
 import re
 import shlex
@@ -8,7 +9,7 @@ import pytest
 
 from dotcheck import parse_dot
 from helpers import chain, run_child
-from threadsplit import cli
+from threadsplit import cli, runtime
 from threadsplit.cli import build_parser, main
 from threadsplit.kernels import kernel_text
 from threadsplit.runtime import NO_FLAG, ExecutionTrace
@@ -222,6 +223,42 @@ def test_run_deadlock_exit_code(capsys, tmp_path):
     rc = main(["run", "-i", str(src), "--budget", "1000"])
     assert rc == 4
     assert "deadlock: step budget exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "dot", "obfuscate"])
+def test_a_cfg_that_is_not_utf8_is_a_file_error(capsys, tmp_path, command):
+    src = tmp_path / "fib.cfg"
+    src.write_bytes(kernel_text("fib").encode() + b"\xff\n")
+    offset = len(kernel_text("fib").encode())
+    argv = {"run": ["run", "-i", str(src)],
+            "verify": ["verify", str(src)],
+            "dot": ["dot", "-i", str(src), "--out-dir", str(tmp_path)],
+            "obfuscate": ["obfuscate", "-i", str(src)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot read {src}: not UTF-8 text (byte offset {offset})"]
+
+
+def test_run_conc_that_cannot_open_its_pipes_is_an_error(kernels, capsys, monkeypatch,
+                                                          tmp_path):
+    obf = str(tmp_path / "fib.obf")
+    assert main(["obfuscate", "-i", kernels["fib"], "-m", "4", "-o", obf]) == 0
+    capsys.readouterr()
+    real, opened = runtime.os.pipe, []
+
+    def second_fails():
+        if opened:
+            raise OSError(errno.EMFILE, "Too many open files")
+        opened.append(real())
+        return opened[-1]
+
+    monkeypatch.setattr(runtime.os, "pipe", second_fails)
+    assert main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "conc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: cannot run 4 workers: Too many open files"]
 
 
 def test_run_names_a_stop_before_the_budget(kernels, capsys, monkeypatch, tmp_path):

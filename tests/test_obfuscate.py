@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -267,6 +268,24 @@ def test_program_json_rejects_tampered_wait_sets():
     doc["threads"][0]["entry_wait"] = [15]
     with pytest.raises(ValueError):
         program_from_json(json.dumps(doc), cfg)
+
+
+def test_program_json_refuses_an_edited_thread_after_building_it(monkeypatch):
+    cfg = prime_cfg()
+    doc = json.loads(program_to_json(obfuscate(cfg, 4, seed=1)))
+    doc["threads"][0]["entry_wait"] = [15]
+    built = []
+
+    def counted(*args):
+        built.append(args[2])
+        return build_thread_cfg(*args)
+
+    # The package's `obfuscate` attribute is the function, not the module.
+    module = importlib.import_module("threadsplit.obfuscate")
+    monkeypatch.setattr(module, "build_thread_cfg", counted)
+    with pytest.raises(ValueError, match="thread 0 in program file does not match"):
+        program_from_json(json.dumps(doc), cfg)
+    assert built == [0]
 
 
 def test_program_json_rejects_unknown_version():

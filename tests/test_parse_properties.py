@@ -1,5 +1,6 @@
-"""Property tests for the parser, the error positions it reports, and the
-programs printed in README.md."""
+"""Property tests for the parser, the error positions it reports, the
+line matcher against the token parser, and the programs printed in
+README.md."""
 
 import re
 from pathlib import Path
@@ -10,26 +11,38 @@ from hypothesis import strategies as st
 
 from threadsplit import ir
 from threadsplit.ir import BasicBlock, BinOp, Branch, Cfg, ConstAssign, Halt, Jump, Print
-from threadsplit.textfmt import KEYWORDS, ParseError, format_cfg, parse
+from threadsplit.kernels import KERNELS, kernel_text
+from threadsplit.textfmt import (
+    KEYWORDS,
+    ParseError,
+    _parse_common,
+    _parse_tokens,
+    format_cfg,
+    parse,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 _HEAD = "abcxyzABZ_"
 NAMES = st.builds(str.__add__, st.sampled_from(_HEAD), st.text(_HEAD + "019", max_size=5))
 
-INSTRS = st.one_of(
-    st.builds(ConstAssign, NAMES, st.integers(ir.INT_MIN, ir.INT_MAX)),
-    st.builds(BinOp, NAMES, NAMES, st.sampled_from(ir.BINARY_OPS), NAMES),
-    st.builds(Print, NAMES),
-)
+
+def instrs_named(names):
+    return st.one_of(
+        st.builds(ConstAssign, names, st.integers(ir.INT_MIN, ir.INT_MAX)),
+        st.builds(BinOp, names, names, st.sampled_from(ir.BINARY_OPS), names),
+        st.builds(Print, names),
+    )
 
 
 @st.composite
-def cfgs(draw):
+def cfgs(draw, names=NAMES):
     """Valid cfgs: block i always reaches i + 1, the last block halts,
-    and the other arm of a branch goes anywhere."""
+    and the other arm of a branch goes anywhere. With other `names` than
+    NAMES the cfg may name things badly, and then it is not valid."""
+    instrs = instrs_named(names)
     n = draw(st.integers(1, 8))
-    labels = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(names, min_size=n, max_size=n, unique=True))
     blocks = []
     for i, label in enumerate(labels):
         if i == n - 1:
@@ -40,9 +53,9 @@ def cfgs(draw):
             arms = [i + 1, draw(st.integers(0, n - 1))]
             if draw(st.booleans()):
                 arms.reverse()
-            term = Branch(draw(NAMES), *arms)
-        blocks.append(BasicBlock(i, label, draw(st.lists(INSTRS, max_size=4)), term))
-    return Cfg(draw(NAMES), blocks)
+            term = Branch(draw(names), *arms)
+        blocks.append(BasicBlock(i, label, draw(st.lists(instrs, max_size=4)), term))
+    return Cfg(draw(names), blocks)
 
 
 @given(cfgs())
@@ -75,12 +88,125 @@ def test_token_soup_raises_only_parse_error(text):
     _parses_or_parse_error(text)
 
 
-@given(cfgs(), st.data())
-def test_edited_program_raises_only_parse_error(cfg, data):
-    text = format_cfg(cfg)
-    pos = data.draw(st.integers(0, len(text)))
-    cut = data.draw(st.integers(0, 3))
-    _parses_or_parse_error(text[:pos] + data.draw(st.sampled_from(TOKENS)) + text[pos + cut:])
+@st.composite
+def edited_programs(draw):
+    """A printed valid program with one token put in at a random place,
+    over up to three characters."""
+    text = format_cfg(draw(cfgs()))
+    pos = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 3))
+    return text[:pos] + draw(st.sampled_from(TOKENS)) + text[pos + cut:]
+
+
+@given(edited_programs())
+def test_edited_program_raises_only_parse_error(text):
+    _parses_or_parse_error(text)
+
+
+# The line matcher in front of the token parser only ever accepts: on any
+# text, parse gives what the token parser gives, Cfg or error.
+
+# Keywords, names that start with one, and names that are not ASCII.
+ODD = sorted(KEYWORDS) + ["blocky", "halt_", "é", "٣", "x٣", "²x"]
+ODD_NAMES = st.integers(0, 39).flatmap(lambda k: NAMES if k else st.sampled_from(ODD))
+
+
+@st.composite
+def layouts(draw):
+    """A printed program, its names sometimes keywords or not ASCII,
+    relaid: blank and comment-only lines, other indents and separators,
+    trailing comments, CRLF, no final newline, or all on one line."""
+    lines = format_cfg(draw(cfgs(ODD_NAMES))).splitlines()
+    if draw(st.integers(0, 4)) == 0:
+        return " ".join(line.strip() for line in lines)
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t", ""]))
+    out = []
+    for line in lines:
+        if draw(st.integers(0, 3)) == 0:
+            out.append(draw(st.sampled_from(["", "# note", "  \t", "\t# x = 1", " \r"])))
+        indent = draw(st.sampled_from(["", "  ", "\t", " \t "]))
+        tail = draw(st.sampled_from(["", "", " ", "\t", "  # c", "#", " \r"]))
+        out.append(indent + line.strip().replace(" ", sep) + tail)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(out) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(parser, text: str):
+    try:
+        return parser(text)
+    except ParseError as e:
+        return e.message, (e.span.line, e.span.column)
+
+
+def _agrees_with_token_parser(text: str) -> None:
+    want = _outcome(_parse_tokens, text)
+    assert _outcome(parse, text) == want
+    got = _parse_common(text)
+    assert got is None or got == want
+
+
+@given(st.one_of(
+    cfgs().map(format_cfg),
+    edited_programs(),
+    st.lists(st.sampled_from(TOKENS), max_size=60).map("".join),
+    layouts(),
+))
+def test_parse_agrees_with_token_parser(text):
+    _agrees_with_token_parser(text)
+
+
+# The matcher must turn each of these down and leave it to the token
+# parser: statements out of place, a repeated label, a literal out of
+# range, and a valid literal with more digits than it reads.
+TURNED_DOWN = [
+    "func f {\n  x = 1\n  block a:\n    halt\n}\n",
+    "func f {\n  print x\n  block a:\n    halt\n}\n",
+    "func f {\n  halt\n  block a:\n    halt\n}\n",
+    "func f {\n  block a:\n    halt\n    x = 1\n}\n",
+    "func f {\n  block a:\n    halt\n    print x\n}\n",
+    "func f {\n  block a:\n    jump b\n    halt\n  block b:\n    halt\n}\n",
+    "func f {\n  block a:\n    br c, b, c\n  block b:\n    x = 1\n  block c:\n    jump b\n}\n",
+    "func f {\n  block a:\n    br c, b, c\n  block b:\n  block c:\n    jump b\n}\n",
+    "func f {\n  block a:\n    x = 1\n}\n",
+    "func f {\n  block a:\n    halt\n}\n  block b:\n    halt\n",
+    "func f {\n  block a:\n    halt\n}\n    x = 1\n",
+    "func f {\n  block a:\n    halt\n}\n    halt\n",
+    "func f {\n  block a:\n    halt\n",
+    "func f {\n}\n",
+    "func f {\n  block a:\n    br c, b, a\n  block b:\n    jump b\n  block b:\n    halt\n}\n",
+    "func f {\n  block a:\n    br c, b, a\n  block b:\n    jump c\n  block c:\n    halt\n"
+    "  block c:\n    jump b\n}\n",
+    "func f {\n  block a:\n    x = 9999999999999999999\n    halt\n}\n",
+    "func f {\n  block a:\n    x = 00000000000000000001\n    halt\n}\n",
+]
+
+
+@pytest.mark.parametrize("text", TURNED_DOWN)
+def test_turned_down_texts_agree_with_token_parser(text):
+    _agrees_with_token_parser(text)
+
+
+# Every place a name goes, with the other places holding plain names.
+SLOTS = ("func {} {{\n  block {}:\n    {} = 1\n    {} = {} + {}\n    print {}\n"
+         "    br {}, {}, {}\n  block {}:\n    jump {}\n  block {}:\n    halt\n}}\n")
+PLAIN = ("f", "a", "x", "y", "x", "x", "y", "y", "b", "a", "b", "c", "c")
+
+
+@pytest.mark.parametrize("slot", range(len(PLAIN)))
+def test_odd_names_agree_with_token_parser(slot):
+    for name in ODD:
+        _agrees_with_token_parser(SLOTS.format(*PLAIN[:slot], name, *PLAIN[slot + 1:]))
+
+
+@given(cfgs())
+def test_matcher_accepts_printed_programs(cfg):
+    assert _parse_common(format_cfg(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_matcher_accepts_bundled_kernels(name):
+    text = kernel_text(name)
+    assert _parse_common(text) == _parse_tokens(text)
 
 
 def test_non_decimal_digit_is_a_parse_error():
@@ -170,6 +296,7 @@ def test_error_position_and_message(text, want):
     with pytest.raises(ParseError) as ei:
         parse(text)
     assert (ei.value.span.line, ei.value.span.column, ei.value.message) == want
+    _agrees_with_token_parser(text)
 
 
 def test_readme_programs_parse():
