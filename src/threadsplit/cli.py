@@ -138,7 +138,7 @@ def cmd_run(args) -> int:
         t0 = time.perf_counter()
         try:
             trace = run_obfuscated(prog, inputs, sched=sched, concurrent=args.mode == "conc")
-        except OSError as e:  # a conc run opens one pipe per worker first
+        except OSError as e:  # a conc run first opens m pipes and starts m-1 threads
             raise CliError(f"cannot run {prog.m} workers: {e.strerror or e}")
         if args.mode == "conc":
             print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)

@@ -116,21 +116,10 @@ def targets(term: Terminator) -> tuple[int, ...]:
     return ()
 
 
-def successors(cfg: Cfg, b: int) -> set[int]:
-    """Successor block ids of `b`, as a set: one element when both arms
-    of a branch agree."""
-    return set(targets(_block(cfg, b).term))
-
-
 def successor_map(cfg: Cfg) -> list[set[int]]:
-    """All successor sets at once, indexed by block id."""
+    """Each block's successor ids as a set, indexed by block id: one
+    element when both arms of a branch agree."""
     return [set(targets(blk.term)) for blk in cfg.blocks]
-
-
-def _block(cfg: Cfg, b: int) -> BasicBlock:
-    if not isinstance(b, int) or not 0 <= b < len(cfg.blocks):
-        raise ValueError(f"no block with id {b!r} in cfg {cfg.name!r}")
-    return cfg.blocks[b]
 
 
 class Problem(str):

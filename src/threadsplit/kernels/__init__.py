@@ -1,7 +1,6 @@
 """Bundled demo programs in the textual cfg format."""
 
 from importlib import resources
-from pathlib import Path
 
 KERNELS = ("evens", "fib", "prime")
 
@@ -11,8 +10,3 @@ def kernel_text(name: str) -> str:
         raise KeyError(f"unknown kernel {name!r}; available: {', '.join(KERNELS)}")
     return resources.files(__package__).joinpath(f"{name}.cfg").read_text()
 
-
-def kernel_path(name: str) -> Path:
-    if name not in KERNELS:
-        raise KeyError(f"unknown kernel {name!r}; available: {', '.join(KERNELS)}")
-    return Path(str(resources.files(__package__).joinpath(f"{name}.cfg")))

@@ -41,25 +41,24 @@ FORMAT_VERSION = 2
 
 @dataclass
 class Partition:
-    """Assignment of every block id to one thread index in [0, m)."""
+    """The assignment: `assign[b]` is block b's thread in [0, m), the list
+    the artifact stores."""
 
     m: int
-    assign: dict[int, int]
+    assign: list[int]
     seed: int
 
     def owned(self, t: int) -> frozenset[int]:
-        return frozenset(b for b, ti in self.assign.items() if ti == t)
+        return frozenset(b for b, ti in enumerate(self.assign) if ti == t)
 
 
 @dataclass(frozen=True)
 class WaitSet:
-    """Block flags one Wait node spins on. Every wait additionally watches
-    the DONE flag; that is implicit and not part of `flags`."""
+    """Block flags one Wait node spins on, ascending: the order the runtime
+    polls them and the artifact stores them. Every wait also watches the
+    DONE flag, which is implicit and not part of `flags`."""
 
-    flags: frozenset[int]
-
-    def sorted_flags(self) -> tuple[int, ...]:
-        return tuple(sorted(self.flags))
+    flags: tuple[int, ...]
 
 
 @dataclass
@@ -103,15 +102,14 @@ class ObfuscatedProgram:
 
     @cached_property
     def wait_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The wait sets as the runtime polls them, in ascending block-id
-        order: each thread's entry wait, and the wait that follows each
-        block, indexed by block id. Derived on first use and kept for the
-        program's lifetime; not part of the artifact."""
+        """The `WaitSet.flags` the runtime polls: each thread's entry wait,
+        and the wait that follows each block, indexed by block id. Gathered
+        on first use and kept for the program's lifetime."""
         after: list[tuple[int, ...]] = [()] * self.source.n
         for tcfg in self.threads:
             for b, ws in tcfg.per_block_wait.items():
-                after[b] = ws.sorted_flags()
-        return tuple(tcfg.entry_wait.sorted_flags() for tcfg in self.threads), tuple(after)
+                after[b] = ws.flags
+        return tuple(tcfg.entry_wait.flags for tcfg in self.threads), tuple(after)
 
 
 def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:
@@ -121,7 +119,7 @@ def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:
     if m < 1:
         raise ValueError(f"thread count must be >= 1, got {m}")
     r = rng.Rng(seed)
-    return Partition(m=m, assign={b: r.below(m) for b in range(cfg.n)}, seed=seed)
+    return Partition(m=m, assign=[r.below(m) for _ in range(cfg.n)], seed=seed)
 
 
 def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], frozenset[int]]:
@@ -204,8 +202,8 @@ def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> Thre
         succs = ir.successor_map(cfg)
     owned = partition.owned(t)
     first_owned = wait_set_query(succs, owned)
-    entry_wait = WaitSet(first_owned((cfg.entry,)))
-    per_block = {b: WaitSet(first_owned(succs[b])) for b in sorted(owned)}
+    entry_wait = WaitSet(tuple(sorted(first_owned((cfg.entry,)))))
+    per_block = {b: WaitSet(tuple(sorted(first_owned(succs[b])))) for b in sorted(owned)}
     return ThreadCfg(t, owned, entry_wait, per_block)
 
 
@@ -250,10 +248,9 @@ def check_bijection(prog: ObfuscatedProgram) -> list[str]:
 def _thread_doc(tcfg: ThreadCfg) -> dict:
     return {
         "owned": sorted(tcfg.owned_blocks),
-        "entry_wait": list(tcfg.entry_wait.sorted_flags()),
-        "per_block_wait": {
-            str(b): list(ws.sorted_flags()) for b, ws in sorted(tcfg.per_block_wait.items())
-        },
+        "entry_wait": list(tcfg.entry_wait.flags),
+        "per_block_wait": {str(b): list(ws.flags)
+                           for b, ws in sorted(tcfg.per_block_wait.items())},
     }
 
 
@@ -266,7 +263,7 @@ def program_to_json(prog: ObfuscatedProgram) -> str:
         "n": prog.source.n,
         "seed": prog.partition.seed,
         "prng": rng.ALGORITHM,
-        "assign": [prog.partition.assign[b] for b in range(prog.source.n)],
+        "assign": prog.partition.assign,
         "threads": [_thread_doc(tcfg) for tcfg in prog.threads],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
@@ -321,7 +318,7 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     if len(stored_threads) != m:
         raise ValueError(f"program file has {len(stored_threads)} threads, expected m={m}")
 
-    partition = Partition(m=m, assign=dict(enumerate(assign)), seed=seed)
+    partition = Partition(m=m, assign=assign, seed=seed)
     succs = ir.successor_map(cfg)
     threads = []
     for t, stored in enumerate(stored_threads):

@@ -421,7 +421,10 @@ def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
         for w in range(1, m):
             ended = threading.Lock()
             ended.acquire()
-            _thread.start_new_thread(spawned, (w, ended))
+            try:
+                _thread.start_new_thread(spawned, (w, ended))
+            except RuntimeError as e:  # not a worker's own error: its thread never ran
+                raise OSError(f"cannot start worker {w}: {e}") from None
             started.append(ended)
         worker(0)
     except BaseException:

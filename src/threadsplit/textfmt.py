@@ -385,7 +385,7 @@ def emit_dot_cfg(cfg: Cfg) -> str:
     for blk in cfg.blocks:
         lines.append(f'  b{blk.id} [shape=box, label="{blk.id}: {blk.label}"];')
     for blk in cfg.blocks:
-        for succ in sorted(ir.successors(cfg, blk.id)):
+        for succ in sorted(set(ir.targets(blk.term))):
             note = _branch_note(blk.term, succ)
             lines.append(f"  b{blk.id} -> b{succ}{note};")
     lines.append("}")
@@ -411,7 +411,7 @@ def emit_dot_thread(tcfg: ThreadCfg, cfg: Cfg | None = None) -> str:
     lines.append('  entry [shape=oval, label="Entry"];')
     lines.append('  exit [shape=oval, label="Exit"];')
     for i, ws in enumerate(wait_sets):
-        flags = ", ".join(str(b) for b in ws.sorted_flags())
+        flags = ", ".join(str(b) for b in ws.flags)
         flags = f"{flags}, DONE" if flags else "DONE"
         lines.append(f'  wait{i} [shape=diamond, label="Wait {{{flags}}}"];')
         if ws.flags:
@@ -426,7 +426,7 @@ def emit_dot_thread(tcfg: ThreadCfg, cfg: Cfg | None = None) -> str:
             lines.append(f"  wait{i} -> exit;")
             continue
         lines.append(f"  wait{i} -> switch{i};")
-        for b in ws.sorted_flags():
+        for b in ws.flags:
             lines.append(f"  switch{i} -> b{b};")
         lines.append(f'  switch{i} -> exit [label="DONE"];')
     for b in sorted(tcfg.owned_blocks):

@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 from . import ir, rng
 from .ir import BasicBlock, BinOp, Branch, Cfg, Halt, Jump
-from .obfuscate import (
-    ObfuscatedProgram,
-    build_thread_cfg,
-    check_bijection,
-    obfuscate,
-    partition_blocks,
-    wait_set_query,
-)
+from .obfuscate import check_bijection, obfuscate, wait_set_query
 from .runtime import (
     COMPLETED,
     RANDOM,
@@ -66,8 +59,11 @@ def oracle_first_inset_reachable(bcur: int, bbset, cfg: Cfg,
 
 _FLIP_C = BinOp("c", "c", "==", "z")
 
+_BRANCH_DENSITY = 0.4  # chance that a non-exit block of `random_cfg` branches
+_SUBSETS_PER_CFG = 50  # block subsets `check_algorithm1` draws for each cfg
 
-def random_cfg(r: rng.Rng, max_n: int = 12, branch_density: float = 0.4) -> Cfg:
+
+def random_cfg(r: rng.Rng, max_n: int = 12) -> Cfg:
     """Random valid cfg with uniform size 1..max_n: one halt block, the
     rest jumps or branches with uniformly random targets. Targets are
     redrawn (keeping n fixed) until every block is reachable from the
@@ -80,7 +76,7 @@ def random_cfg(r: rng.Rng, max_n: int = 12, branch_density: float = 0.4) -> Cfg:
         for i in range(n):
             if i == exit_id:
                 terms.append(Halt())
-            elif r.chance(branch_density):
+            elif r.chance(_BRANCH_DENSITY):
                 terms.append(Branch("c", r.below(n), r.below(n)))
             else:
                 terms.append(Jump(r.below(n)))
@@ -149,12 +145,9 @@ class VerifyReport:
     def ok(self) -> bool:
         return self.failed == 0 and (self.alg1 is None or self.alg1.ok)
 
-    def failures(self) -> list[CaseResult]:
-        return [c for c in self.cases if not c.ok]
-
     def summary(self) -> str:
         lines = [f"equivalence cases: {self.passed} passed, {self.failed} failed"]
-        for c in self.failures()[:20]:
+        for c in [c for c in self.cases if not c.ok][:20]:
             lines.append(
                 f"  FAIL {c.program} m={c.m} pseed={c.partition_seed} "
                 f"sched={c.schedule}: {c.detail}"
@@ -189,10 +182,9 @@ class VerifyReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024,
-                     subsets_per_cfg: int = 50) -> VerifyReport:
+def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> VerifyReport:
     """Compare the production wait-set pass against the BFS oracle over
-    `trials` random cfgs: `subsets_per_cfg` random block subsets each,
+    `trials` random cfgs: `_SUBSETS_PER_CFG` random block subsets each,
     one pass per subset, queried with every block as the start."""
     r = rng.Rng(seed)
     comparisons = 0
@@ -201,7 +193,7 @@ def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024,
         cfg = random_cfg(r, max_n)
         succs = ir.successor_map(cfg)
         n = cfg.n
-        for _ in range(subsets_per_cfg):
+        for _ in range(_SUBSETS_PER_CFG):
             mask = r.below(1 << n)
             subset = frozenset(b for b in range(n) if mask >> b & 1)
             first_in_subset = wait_set_query(succs, subset)
@@ -234,8 +226,9 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     check plus round-robin and `schedule_seeds` random-schedule runs,
     each compared field-by-field against the sequential reference.
     Each run's budget is the reference's block count: a run that needs
-    more has already diverged. The cfg is validated once, before the
-    reference runs; an invalid one raises ValueError."""
+    more has already diverged. Each program is built by `obfuscate`. The
+    cfg is validated once, before the reference runs (`Cfg.problems` keeps
+    the result for every build); an invalid one raises ValueError."""
     config = config or VerifyConfig()
     name = name or cfg.name
     errors = cfg.problems
@@ -251,12 +244,9 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     results: list[CaseResult] = []
     schedules = [Schedule(ROUND_ROBIN, 0, budget)]
     schedules += [Schedule(RANDOM, s, budget) for s in range(config.schedule_seeds)]
-    succs = ir.successor_map(cfg)
     for m in config.m_values:
         for pseed in range(config.partition_seeds):
-            part = partition_blocks(cfg, m, pseed)
-            prog = ObfuscatedProgram(
-                cfg, part, [build_thread_cfg(cfg, part, t, succs) for t in range(m)])
+            prog = obfuscate(cfg, m, pseed)
             issues = check_bijection(prog)
             results.append(CaseResult(
                 name, m, pseed, "structure", not issues, "; ".join(issues)))

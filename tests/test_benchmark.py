@@ -36,3 +36,16 @@ def test_benchmark_traced_verify_sweep_is_correct():
     metrics = result["metrics"]
     for name in _layer_times():
         assert metrics[f"{name}_s"]["value"] > 0, name
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the benchmark's concurrent runs need 2 cores")
+def test_benchmark_untraced_compile_large_is_correct():
+    # The one tier-1 path through the tampered loads and the wait-set
+    # checks that compile-large runs on 2000-block programs.
+    proc = run_child(str(RUN), "--workload", "compile-large", "--seed", "1",
+                     "--seconds", "0.001", "--trace", "0")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 import re
 import shlex
 import sys
@@ -259,6 +260,47 @@ def test_run_conc_that_cannot_open_its_pipes_is_an_error(kernels, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: cannot run 4 workers: Too many open files"]
+
+
+def test_run_conc_that_cannot_start_its_threads_is_an_error(kernels, capsys, monkeypatch,
+                                                            tmp_path):
+    obf = str(tmp_path / "fib.obf")
+    assert main(["obfuscate", "-i", kernels["fib"], "-m", "4", "-o", obf]) == 0
+    capsys.readouterr()
+    real, opened = runtime.os.pipe, []
+
+    def recorded():
+        opened.extend(real())
+        return opened[-2:]
+
+    def refused(*args):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(runtime.os, "pipe", recorded)
+    monkeypatch.setattr(runtime._thread, "start_new_thread", refused)
+    cpus = os.sched_getaffinity(0)
+    assert main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "conc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cannot run 4 workers: cannot start worker 1: can't start new thread"]
+    assert len(opened) == 8
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_run_conc_lets_a_worker_error_through(kernels, capsys, monkeypatch, tmp_path):
+    obf = str(tmp_path / "fib.obf")
+    assert main(["obfuscate", "-i", kernels["fib"], "-m", "2", "-o", obf]) == 0
+
+    def fail(*args):
+        raise RuntimeError("worker failed")
+
+    monkeypatch.setattr(runtime, "_exec_block", fail)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "conc"])
 
 
 def test_run_names_a_stop_before_the_budget(kernels, capsys, monkeypatch, tmp_path):

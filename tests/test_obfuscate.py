@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 
@@ -68,7 +69,7 @@ def test_walk_full_set_equals_successors():
     cfg = diamond()
     everything = set(range(cfg.n))
     for b in range(cfg.n):
-        assert walk(b, everything, cfg) == ir.successors(cfg, b)
+        assert walk(b, everything, cfg) == ir.successor_map(cfg)[b]
 
 
 def test_walk_empty_set_is_empty():
@@ -96,7 +97,7 @@ def test_initial_wait_set_skips_to_first_owned():
 def test_partition_m1_assigns_everything_to_thread_zero():
     cfg = prime_cfg()
     part = partition_blocks(cfg, 1, seed=99)
-    assert part.assign == {b: 0 for b in range(16)}
+    assert part.assign == [0] * 16
 
 
 def test_partition_deterministic():
@@ -112,8 +113,7 @@ def test_partition_rejects_bad_m():
 def test_partition_thousand_seeds_all_distinct():
     # 4^16 possible assignments; 1000 draws should never collide.
     cfg = prime_cfg()
-    seen = {tuple(partition_blocks(cfg, 4, s).assign[b] for b in range(16))
-            for s in range(1000)}
+    seen = {tuple(partition_blocks(cfg, 4, s).assign) for s in range(1000)}
     assert len(seen) == 1000
 
 
@@ -121,7 +121,7 @@ def test_partition_roughly_uniform():
     cfg = prime_cfg()
     counts = [0, 0, 0, 0]
     for s in range(1000):
-        for t in partition_blocks(cfg, 4, s).assign.values():
+        for t in partition_blocks(cfg, 4, s).assign:
             counts[t] += 1
     assert sum(counts) == 16000
     for c in counts:
@@ -155,12 +155,12 @@ def test_partition_adjacent_blocks_independent(m):
 
 def test_thread_cfg_empty_partition():
     cfg = chain(3)
-    part = Partition(2, {0: 0, 1: 0, 2: 0}, seed=0)
+    part = Partition(2, [0, 0, 0], seed=0)
     tcfg = build_thread_cfg(cfg, part, 1)
     assert tcfg.owned_blocks == frozenset()
-    assert tcfg.entry_wait == WaitSet(frozenset())
+    assert tcfg.entry_wait == WaitSet(())
     assert tcfg.per_block_wait == {}
-    assert tcfg.wait_sets() == [WaitSet(frozenset())]
+    assert tcfg.wait_sets() == [WaitSet(())]
 
 
 def test_thread_cfg_m1_chain_waits_on_direct_successors():
@@ -168,7 +168,7 @@ def test_thread_cfg_m1_chain_waits_on_direct_successors():
     part = partition_blocks(cfg, 1, 0)
     tcfg = build_thread_cfg(cfg, part, 0)
     for b in range(4):
-        assert tcfg.per_block_wait[b].flags == frozenset(ir.successors(cfg, b))
+        assert tcfg.per_block_wait[b].flags == tuple(sorted(ir.successor_map(cfg)[b]))
 
 
 def test_thread_cfg_rejects_bad_index():
@@ -199,9 +199,9 @@ def test_obfuscate_rejects_invalid_cfg():
 def test_wait_sets_never_contain_foreign_blocks():
     prog = obfuscate(prime_cfg(), 4, seed=11)
     for tcfg in prog.threads:
-        assert tcfg.entry_wait.flags <= tcfg.owned_blocks
+        assert set(tcfg.entry_wait.flags) <= tcfg.owned_blocks
         for ws in tcfg.per_block_wait.values():
-            assert ws.flags <= tcfg.owned_blocks
+            assert set(ws.flags) <= tcfg.owned_blocks
 
 
 def test_check_bijection_flags_double_ownership():
@@ -239,6 +239,42 @@ def test_program_json_round_trip():
     again = program_from_json(text, cfg)
     assert again.partition == prog.partition
     assert again.threads == prog.threads
+
+
+# sha256 of `program_to_json` for each bundled kernel at m=1..4 and
+# partition seeds 0 and 7: the artifact format, byte for byte.
+ARTIFACT_DIGESTS = {
+    ("evens", 1, 0): "512392d5f9360cf17e770dc1de4a312c2b894d20d62104d567b3412d033dfab0",
+    ("evens", 1, 7): "86fd8c1cf37a61ccd59610a11ce74bf441713a4e6c62f7afc28d79082a2f7a5d",
+    ("evens", 2, 0): "b2bed6920c93d803f9e01d4b09aa19e73df5714af2747478c648bb9715161936",
+    ("evens", 2, 7): "b53227523a387959043f12977753212ffa4f1faa6954d2bc5ce0bf0ca0c3fc50",
+    ("evens", 3, 0): "a606a1215cce5c054359b8a0be13162fc4c040ff696a348de387bd86589a708d",
+    ("evens", 3, 7): "64109324d126a24aa5c2d9b1294aa41e7cf2b19c83808b0b6ebef8c19a21ba7b",
+    ("evens", 4, 0): "4432593e77be080c5600e6141ebd4d1b5c7326b2028a99623b5df1cceac5496f",
+    ("evens", 4, 7): "ffc6ec43369b3edf7bc06a4831ff7b497ec39988c252dfe8e2e48d827e9c8f31",
+    ("fib", 1, 0): "f0f49c89b2f55577cc7cd9cf0b89e4d9f255c09c28c34a549fcdb18e7febe392",
+    ("fib", 1, 7): "716ef37df5e99cb872384432082e0aa1f6a83852c3d2f7afcb118e5c2707a830",
+    ("fib", 2, 0): "f4dcba9a3eef66771c5060878e3a79a332e681870013b28e085606cb278f90b8",
+    ("fib", 2, 7): "5f232efef0513b33dde8ef776c3a2f2055bb907d62e09614320759c2ac9545ce",
+    ("fib", 3, 0): "c7c11766e647e8f1e05d9f71e13d7cff57d247aa1d28e8fad5268bf2e9bfc550",
+    ("fib", 3, 7): "cd179d460defcd5f4502975895265fe1add9a4af318010b911dfe5e50ae7cf4d",
+    ("fib", 4, 0): "bd8f8bb96d855a82702f42888e3046c529eb0b92d7e10add1bdf1b7cfc38a2ab",
+    ("fib", 4, 7): "56981222836d6ecb7af1d911dbfa42930ef4e2b55ef7527b672d6965dcb48d8f",
+    ("prime", 1, 0): "4f1c8c32a2331b270b0543b6fd1db803419e193ba41a41c0c08ff5ba3199a24e",
+    ("prime", 1, 7): "24956576ee9481f06f2ca0b5672f7eba495102424b5f67e20047d16c026e6b89",
+    ("prime", 2, 0): "0b35fec641fad2a23a400b22648ba337cac96abfba5534e4e81bdb5ae3a6cb69",
+    ("prime", 2, 7): "c6b159b6529b02976c3f352238dd326655862b0340cc017acbda4ead2d53d286",
+    ("prime", 3, 0): "52c72db29c6c6000d832cc8ed0db9e3e405b666714f8359ccc1930f4a45d8d9c",
+    ("prime", 3, 7): "00318dc38dcafc0f981531358f77916fe11d9530d0cf2016cf2ce7b915d210c8",
+    ("prime", 4, 0): "e1b14d35ba1176e0658fcfce8fd4315a2b9d340ecaa98ffa47101756da7c02b1",
+    ("prime", 4, 7): "fd1fd9beefc319b61d63a88f450de2e6348e1465f27070223ca245abbe1204b2",
+}
+
+
+def test_program_json_bytes_are_pinned():
+    for (name, m, seed), digest in ARTIFACT_DIGESTS.items():
+        text = program_to_json(obfuscate(parse(kernel_text(name)), m, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, m, seed)
 
 
 def test_program_json_has_documented_fields():

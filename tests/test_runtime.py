@@ -254,9 +254,9 @@ from threadsplit.textfmt import parse
 prog = obfuscate(parse(kernel_text("prime")), int(sys.argv[1]), 0)
 owner = prog.threads[prog.partition.assign[prog.source.entry]]
 for b in owner.per_block_wait:
-    owner.per_block_wait[b] = WaitSet(frozenset())
+    owner.per_block_wait[b] = WaitSet(())
 if sys.argv[2:] == ["entry"]:
-    owner.entry_wait = WaitSet(frozenset())
+    owner.entry_wait = WaitSet(())
 for concurrent in (False, True):
     trace = run_obfuscated(prog, sched=Schedule(step_budget=10**12), concurrent=concurrent)
     print(trace.status, trace.reason, len(trace.records))
@@ -479,7 +479,7 @@ def test_guard_table_one_byte_per_block_plus_done():
 
 def test_empty_partition_worker_contributes_nothing():
     cfg = chain(3)
-    part = Partition(2, {0: 0, 1: 0, 2: 0}, seed=0)
+    part = Partition(2, [0, 0, 0], seed=0)
     threads = [build_thread_cfg(cfg, part, t) for t in range(2)]
     prog = ObfuscatedProgram(cfg, part, threads)
     trace = run_obfuscated(prog)
@@ -618,7 +618,7 @@ def no_way_back(m: int):
     prog = obfuscate(kernel("prime"), m, 0)
     owner = prog.threads[prog.partition.assign[prog.source.entry]]
     for b in owner.per_block_wait:
-        owner.per_block_wait[b] = WaitSet(frozenset())
+        owner.per_block_wait[b] = WaitSet(())
     return prog
 
 
@@ -731,7 +731,7 @@ from threadsplit.textfmt import parse
 stuck = obfuscate(parse(kernel_text("prime")), 3, 0)
 owner = stuck.threads[stuck.partition.assign[stuck.source.entry]]
 for b in owner.per_block_wait:
-    owner.per_block_wait[b] = WaitSet(frozenset())
+    owner.per_block_wait[b] = WaitSet(())
 trap = parse("func f {\\n  block a:\\n    q = x / zero\\n    halt\\n}\\n")
 runs = [(obfuscate(parse(kernel_text("prime")), 3, 8), None),
         (obfuscate(trap, 2, 1), None),

@@ -200,7 +200,7 @@ def test_dot_cfg_branch_edges_annotated():
 
 def test_dot_thread_empty_partition_is_three_nodes():
     cfg = chain(2)
-    part = Partition(2, {0: 0, 1: 0}, seed=0)
+    part = Partition(2, [0, 0], seed=0)
     tcfg = build_thread_cfg(cfg, part, 1)
     _, nodes, edges = parse_dot(emit_dot_thread(tcfg))
     assert set(nodes) == {"entry", "exit", "wait0"}
@@ -210,7 +210,7 @@ def test_dot_thread_empty_partition_is_three_nodes():
 
 def test_dot_thread_single_block_partition_is_five_nodes():
     cfg = chain(3)
-    part = Partition(2, {0: 1, 1: 0, 2: 0}, seed=0)
+    part = Partition(2, [1, 0, 0], seed=0)
     tcfg = build_thread_cfg(cfg, part, 1)  # owns only the entry block
     _, nodes, _ = parse_dot(emit_dot_thread(tcfg))
     assert set(nodes) == {"entry", "exit", "wait0", "switch0", "b0"}
