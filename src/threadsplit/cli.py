@@ -138,7 +138,7 @@ def cmd_run(args) -> int:
         t0 = time.perf_counter()
         try:
             trace = run_obfuscated(prog, inputs, sched=sched, concurrent=args.mode == "conc")
-        except OSError as e:  # a conc run first opens m pipes and starts m-1 threads
+        except OSError as e:  # a conc run needs the GIL, m pipes and m-1 threads
             raise CliError(f"cannot run {prog.m} workers: {e.strerror or e}")
         if args.mode == "conc":
             print(f"elapsed {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -167,7 +167,6 @@ def cmd_verify(args) -> int:
             m_values=m_values,
             partition_seeds=args.partition_seeds,
             schedule_seeds=args.schedule_seeds,
-            max_oracle_n=args.max_oracle_n,
         )
     except ValueError as e:
         raise CliError(str(e))
@@ -248,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg1-trials", type=int, default=100,
                    help="wait-set oracle trials to run alongside the sweep "
                         "(default 100; 0 skips them)")
-    p.add_argument("--max-oracle-n", type=int, default=12)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--report-out", help="write the full report as JSON")
     p.set_defaults(func=cmd_verify)

@@ -45,6 +45,7 @@ import _thread
 import json
 import operator
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -333,6 +334,10 @@ def _caller_cpu(cpus: set[int]) -> int:
 
 
 def _run_concurrent(prog, inputs, budget: int) -> ExecutionTrace:
+    # The protocol's memory contract is the GIL; a free-threaded build
+    # can run without it (Python 3.13t), so such a run starts nothing.
+    if not getattr(sys, "_is_gil_enabled", lambda: True)():
+        raise OSError("concurrent mode needs the GIL, and this Python runs without it")
     m = prog.m
     core = _Guards(prog, inputs, budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace

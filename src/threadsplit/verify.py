@@ -27,6 +27,7 @@ from .runtime import (
     COMPLETED,
     RANDOM,
     ROUND_ROBIN,
+    ExecutionTrace,
     Mutation,
     Schedule,
     run_obfuscated,
@@ -106,12 +107,11 @@ class VerifyConfig:
     m_values: tuple[int, ...] = (1, 2, 3, 4)
     partition_seeds: int = 25
     schedule_seeds: int = 10
-    max_oracle_n: int = 12
 
     def __post_init__(self):
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ValueError("m_values entries must be >= 1")
-        for name in ("partition_seeds", "schedule_seeds", "max_oracle_n"):
+        for name in ("partition_seeds", "schedule_seeds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -161,11 +161,6 @@ class VerifyReport:
         lines.append("verdict: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
 
-    def merge(self, other: "VerifyReport") -> None:
-        self.cases.extend(other.cases)
-        if other.alg1 is not None:
-            self.alg1 = other.alg1
-
     def to_json(self) -> str:
         doc = {
             "cases": [vars(c).copy() for c in self.cases],
@@ -182,7 +177,7 @@ class VerifyReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> VerifyReport:
+def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> Alg1Report:
     """Compare the production wait-set pass against the BFS oracle over
     `trials` random cfgs: `_SUBSETS_PER_CFG` random block subsets each,
     one pass per subset, queried with every block as the start."""
@@ -209,7 +204,7 @@ def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> V
                         "got": sorted(got),
                         "want": sorted(want),
                     })
-    return VerifyReport(alg1=Alg1Report(trials, comparisons, mismatches))
+    return Alg1Report(trials, comparisons, mismatches)
 
 
 def _first_divergence(got: list[int], want: list[int]) -> str:
@@ -217,6 +212,23 @@ def _first_divergence(got: list[int], want: list[int]) -> str:
         if g != w:
             return f"first divergence at step {i}: block {g}, expected {w}"
     return f"length {len(got)}, expected {len(want)}"
+
+
+def _differences(trace: ExecutionTrace, ref: ExecutionTrace, ref_blocks: list[int]) -> list[str]:
+    """How a run of an obfuscated program differs from the reference run
+    `ref`, whose block sequence is `ref_blocks`: status, then flag
+    violations, then output, then block sequence. Empty when it does not."""
+    found = []
+    if trace.status != ref.status:
+        found.append(f"status {trace.status}, expected {ref.status}")
+    if trace.flag_violations:
+        found.append(f"{trace.flag_violations} mutual-exclusion violations")
+    if trace.output != ref.output:
+        found.append("output differs: " + _first_divergence(trace.output, ref.output))
+    blocks = trace.block_sequence()
+    if blocks != ref_blocks:
+        found.append("block sequence differs: " + _first_divergence(blocks, ref_blocks))
+    return found
 
 
 def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
@@ -238,8 +250,6 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     if ref.status != COMPLETED:
         raise ValueError(f"reference run of {name} did not complete: {ref.status}")
     ref_blocks = ref.block_sequence()
-    ref_output = ref.output
-
     budget = len(ref_blocks)
     results: list[CaseResult] = []
     schedules = [Schedule(ROUND_ROBIN, 0, budget)]
@@ -253,19 +263,10 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
             for sched in schedules:
                 label = sched.mode if sched.mode == ROUND_ROBIN else f"{sched.mode}:{sched.seed}"
                 trace = run_obfuscated(prog, inputs, sched=sched)
-                ok, detail = True, ""
-                if trace.status != COMPLETED:
-                    ok, detail = False, f"status {trace.status}, expected completed"
-                elif trace.flag_violations:
-                    ok, detail = False, f"{trace.flag_violations} mutual-exclusion violations"
-                elif trace.output != ref_output:
-                    ok, detail = False, ("output differs: "
-                                         + _first_divergence(trace.output, ref_output))
-                elif trace.block_sequence() != ref_blocks:
-                    ok, detail = False, ("block sequence differs: "
-                                         + _first_divergence(trace.block_sequence(), ref_blocks))
-                results.append(CaseResult(
-                    name, m, pseed, label, ok, detail, trace.status, trace.flag_violations))
+                found = _differences(trace, ref, ref_blocks)
+                results.append(CaseResult(name, m, pseed, label, not found,
+                                          found[0] if found else "",
+                                          trace.status, trace.flag_violations))
     return VerifyReport(cases=results)
 
 
@@ -274,20 +275,12 @@ def check_mutations(cfg: Cfg, m: int = 3, seed: int = 7) -> dict[str, dict]:
     was detected. As in `check_equivalence`, a run may execute only as
     many blocks as the reference did."""
     ref = run_sequential(cfg)
+    ref_blocks = ref.block_sequence()
     prog = obfuscate(cfg, m, seed)
-    sched = Schedule(step_budget=len(ref.records))
+    sched = Schedule(step_budget=len(ref_blocks))
     report: dict[str, dict] = {}
     for mut in (Mutation.SKIP_CLEAR, Mutation.SKIP_RAISE, Mutation.WRONG_SUCCESSOR):
-        trace = run_obfuscated(prog, sched=sched, mutation=mut)
-        signals = []
-        if trace.flag_violations:
-            signals.append(f"{trace.flag_violations} mutual-exclusion violations")
-        if trace.status != ref.status:
-            signals.append(f"status {trace.status}")
-        if trace.output != ref.output:
-            signals.append("output divergence")
-        elif trace.block_sequence() != ref.block_sequence():
-            signals.append("block-sequence divergence")
+        signals = _differences(run_obfuscated(prog, sched=sched, mutation=mut), ref, ref_blocks)
         report[mut.value] = {"detected": bool(signals), "signals": signals}
     return report
 
@@ -296,10 +289,7 @@ def verify_files(named_cfgs: list[tuple[str, Cfg]], config: VerifyConfig | None 
                  alg1_trials: int = 100, seed: int = 2024) -> VerifyReport:
     """Full verification: wait-set oracle trials (unless alg1_trials is
     0) plus the differential sweep over (name, cfg) pairs."""
-    config = config or VerifyConfig()
-    report = VerifyReport()
-    if alg1_trials > 0:
-        report.merge(check_algorithm1(alg1_trials, config.max_oracle_n, seed))
-    for name, cfg in named_cfgs:
-        report.merge(check_equivalence(cfg, config, name))
-    return report
+    alg1 = check_algorithm1(alg1_trials, seed=seed) if alg1_trials > 0 else None
+    cases = [case for name, cfg in named_cfgs
+             for case in check_equivalence(cfg, config, name).cases]
+    return VerifyReport(cases, alg1)

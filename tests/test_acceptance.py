@@ -11,10 +11,11 @@ import time
 
 import pytest
 
-import threadsplit as ts
 from dotcheck import parse_dot
 from threadsplit.kernels import KERNELS, kernel_text
-from threadsplit.textfmt import emit_dot_cfg, emit_dot_thread
+from threadsplit.obfuscate import count_combinations, obfuscate
+from threadsplit.runtime import run_obfuscated, run_sequential
+from threadsplit.textfmt import emit_dot_cfg, emit_dot_thread, format_cfg, parse
 from threadsplit.verify import (
     VerifyConfig,
     check_algorithm1,
@@ -36,7 +37,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def corpus():
-    return [(name, ts.parse(kernel_text(name))) for name in KERNELS]
+    return [(name, parse(kernel_text(name))) for name in KERNELS]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ def sweep(corpus):
 
 def test_wait_set_walk_matches_oracle():
     start = time.perf_counter()
-    alg1 = check_algorithm1(trials=1000, max_n=12).alg1
+    alg1 = check_algorithm1(trials=1000, max_n=12)
     elapsed = time.perf_counter() - start
     ok = not alg1.mismatches and alg1.cfgs == 1000 and elapsed < 10.0
     _report(
@@ -88,7 +89,7 @@ def test_combination_count():
     oracle = 1
     for _ in range(16):
         oracle *= 4
-    value = ts.count_combinations(4, 16)
+    value = count_combinations(4, 16)
     ok = value == oracle == 4294967296
     _report("combination-count", ok, f"count_combinations(4, 16) = {value}")
 
@@ -108,11 +109,11 @@ def test_termination_and_mutation_detection(sweep, corpus):
 
 def test_concurrent_smoke(corpus):
     cfg = dict(corpus)["prime"]
-    ref = ts.run_sequential(cfg)
-    prog = ts.obfuscate(cfg, 4, seed=42)
+    ref = run_sequential(cfg)
+    prog = obfuscate(cfg, 4, seed=42)
     mismatches = 0
     for _ in range(5):
-        trace = ts.run_obfuscated(prog, concurrent=True)
+        trace = run_obfuscated(prog, concurrent=True)
         if trace.status != "completed" or trace.output != ref.output:
             mismatches += 1
     _report("concurrent-smoke", mismatches == 0, f"{mismatches} output mismatches in 5 runs")
@@ -121,12 +122,12 @@ def test_concurrent_smoke(corpus):
 def test_round_trip_and_dot(corpus):
     problems = []
     for name, cfg in corpus:
-        text = ts.format_cfg(cfg)
-        again = ts.parse(text)
-        if again != cfg or ts.format_cfg(again) != text:
+        text = format_cfg(cfg)
+        again = parse(text)
+        if again != cfg or format_cfg(again) != text:
             problems.append(f"{name}: round-trip not a fixed point")
         docs = [emit_dot_cfg(cfg)]
-        prog = ts.obfuscate(cfg, 4, seed=7)
+        prog = obfuscate(cfg, 4, seed=7)
         docs += [emit_dot_thread(tcfg, cfg) for tcfg in prog.threads]
         for doc in docs:
             try:

@@ -291,6 +291,34 @@ def test_run_conc_that_cannot_start_its_threads_is_an_error(kernels, capsys, mon
     assert os.sched_getaffinity(0) == cpus
 
 
+def test_run_conc_without_the_gil_is_an_error(kernels, capsys, monkeypatch, tmp_path):
+    obf = str(tmp_path / "fib.obf")
+    assert main(["obfuscate", "-i", kernels["fib"], "-m", "4", "-o", obf]) == 0
+    capsys.readouterr()
+    real, opened, started = runtime.os.pipe, [], []
+
+    def recorded():
+        opened.extend(real())
+        return opened[-2:]
+
+    def refused(*args):
+        started.append(args)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
+    monkeypatch.setattr(runtime.os, "pipe", recorded)
+    monkeypatch.setattr(runtime._thread, "start_new_thread", refused)
+    assert main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "conc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cannot run 4 workers: concurrent mode needs the GIL, "
+        "and this Python runs without it"]
+    assert (opened, started) == ([], [])
+    # Only `conc` runs threads; the scheduled engine needs no GIL.
+    assert main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "sched"]) == 0
+
+
 def test_run_conc_lets_a_worker_error_through(kernels, capsys, monkeypatch, tmp_path):
     obf = str(tmp_path / "fib.obf")
     assert main(["obfuscate", "-i", kernels["fib"], "-m", "2", "-o", obf]) == 0

@@ -1,9 +1,10 @@
 import hashlib
-import importlib
+import inspect
 import json
 
 import pytest
 
+import threadsplit.obfuscate
 from helpers import chain, diamond, two_loop
 from threadsplit import ir
 from threadsplit.kernels import kernel_text
@@ -316,9 +317,9 @@ def test_program_json_refuses_an_edited_thread_after_building_it(monkeypatch):
         built.append(args[2])
         return build_thread_cfg(*args)
 
-    # The package's `obfuscate` attribute is the function, not the module.
-    module = importlib.import_module("threadsplit.obfuscate")
-    monkeypatch.setattr(module, "build_thread_cfg", counted)
+    # The package binds no names over its submodules.
+    assert inspect.ismodule(threadsplit.obfuscate)
+    monkeypatch.setattr(threadsplit.obfuscate, "build_thread_cfg", counted)
     with pytest.raises(ValueError, match="thread 0 in program file does not match"):
         program_from_json(json.dumps(doc), cfg)
     assert built == [0]

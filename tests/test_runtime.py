@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import chain, reference_binop, run_child
-from threadsplit import runtime
+from threadsplit import rng, runtime
 from threadsplit.ir import BINARY_OPS, INT_MAX, INT_MIN, BasicBlock, BinOp, Cfg, Halt, Print
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import Partition, WaitSet, build_thread_cfg, obfuscate
@@ -32,7 +32,8 @@ from threadsplit.runtime import (
     _Guards,
     trace_to_json,
 )
-from threadsplit.textfmt import parse
+from threadsplit.textfmt import format_cfg, parse
+from threadsplit.verify import random_cfg
 
 
 def kernel(name):
@@ -518,6 +519,28 @@ def test_concurrent_matches_sequential_block_for_block():
             assert (trace.status, trace.output, trace.block_sequence()) == (
                 ref.status, ref.output, ref.block_sequence())
             assert trace.flag_violations == 0
+
+
+def test_concurrent_matches_scheduled_record_for_record_on_random_cfgs():
+    """A `conc` run is one more schedule of the program, so it must equal
+    the round-robin run in (worker, block) records, output, stop reason
+    and flag violations, on 200 generated graphs that complete within 200
+    blocks. m=8 runs more workers than a small host has cores, and more
+    than many of the graphs have blocks."""
+    r, sched, cfgs = rng.Rng(11), Schedule(step_budget=200), []
+    while len(cfgs) < 200:
+        cfg = random_cfg(r)
+        if run_sequential(cfg, max_steps=200).status == COMPLETED:
+            cfgs.append(cfg)
+    for cfg in cfgs:
+        for m in (2, 3, 4, 8):
+            for seed in range(3):
+                prog = obfuscate(cfg, m, seed)
+                runs = [run_obfuscated(prog, sched=sched, concurrent=conc)
+                        for conc in (False, True)]
+                want, got = ([[(w, b) for _, w, b in t.records], t.output, t.reason,
+                              t.flag_violations] for t in runs)
+                assert got == want, (m, seed, format_cfg(cfg))
 
 
 PINNING = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
