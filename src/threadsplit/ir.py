@@ -133,7 +133,10 @@ def validate(cfg: Cfg) -> list[Problem]:
     """Check structural well-formedness; returns a list of errors, empty if ok.
 
     Pure and idempotent. Predecessors of the entry block are allowed (a
-    program may loop back to its first block).
+    program may loop back to its first block). An instruction object that
+    several blocks share (the parser gives equal lines one object) is
+    checked once when it is valid; an invalid one is reported in every
+    block that holds it.
     """
     errors: list[Problem] = []
 
@@ -147,6 +150,7 @@ def validate(cfg: Cfg) -> list[Problem]:
 
     labels: dict[str, int] = {}
     good_names: set[str] = set()
+    good_instrs: set[int] = set()
     for i, blk in enumerate(cfg.blocks):
         if blk.id != i:
             add(f"block at index {i} has id {blk.id} (ids must be dense)", i)
@@ -156,7 +160,7 @@ def validate(cfg: Cfg) -> list[Problem]:
             add(f"duplicate label {blk.label!r} (blocks {labels[blk.label]} and {i})", i)
         else:
             labels[blk.label] = i
-        _check_instrs(blk, good_names, add)
+        _check_instrs(blk, good_names, good_instrs, add)
 
     if not 0 <= cfg.entry < n:
         add(f"entry id {cfg.entry} out of range")
@@ -185,10 +189,14 @@ def validate(cfg: Cfg) -> list[Problem]:
     return errors
 
 
-def _check_instrs(blk: BasicBlock, good_names: set[str], add) -> None:
+def _check_instrs(blk: BasicBlock, good_names: set[str], good_instrs: set[int], add) -> None:
     """Reports each error through `add`. `good_names` holds the names
-    already found valid in this cfg, so each distinct name is matched once."""
+    already found valid in this cfg, so each distinct name is matched
+    once, and `good_instrs` the ids of the instruction objects found
+    valid, so a shared one is checked once."""
     for instr in blk.instrs:
+        if id(instr) in good_instrs:
+            continue
         if isinstance(instr, ConstAssign):
             names = (instr.dest,)
         elif isinstance(instr, BinOp):
@@ -198,17 +206,23 @@ def _check_instrs(blk: BasicBlock, good_names: set[str], add) -> None:
         else:
             add(f"block {blk.id}: unknown instruction {instr!r}", blk.id)
             continue
+        ok = True
         for name in names:
             if name not in good_names:
                 if is_var_name(name):
                     good_names.add(name)
                 else:
                     add(f"block {blk.id}: invalid variable name {name!r}", blk.id)
+                    ok = False
         if isinstance(instr, ConstAssign):
             if not INT_MIN <= instr.value <= INT_MAX:
                 add(f"block {blk.id}: constant {instr.value} outside 64-bit range", blk.id)
+                ok = False
         elif isinstance(instr, BinOp) and instr.op not in BINARY_OPS:
             add(f"block {blk.id}: unknown operator {instr.op!r}", blk.id)
+            ok = False
+        if ok:
+            good_instrs.add(id(instr))
 
 
 def reachable(terms: list[Terminator], entry: int = 0) -> set[int]:

@@ -82,12 +82,9 @@ class ThreadCfg:
         """Distinct wait sets needing a Wait node, in first-use order:
         the entry wait (always, even when empty), then non-empty
         per-block waits in block-id order."""
-        seen: list[WaitSet] = [self.entry_wait]
-        for b in sorted(self.per_block_wait):
-            ws = self.per_block_wait[b]
-            if ws.flags and ws not in seen:
-                seen.append(ws)
-        return seen
+        per_block = self.per_block_wait
+        later = (per_block[b] for b in sorted(per_block))
+        return list(dict.fromkeys([self.entry_wait, *(ws for ws in later if ws.flags)]))
 
 
 @dataclass

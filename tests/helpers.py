@@ -46,6 +46,31 @@ def diamond() -> Cfg:
     ])
 
 
+def repeated_text(n: int) -> str:
+    """An n-block program whose instruction lines repeat: every block
+    holds the same four statements, and only its label line and its
+    terminator differ. Block i jumps to block i + 1; the last one halts."""
+    body = ["    t = t + one", "    c = t < k", "    print t", "    k = 3"]
+    lines = ["func repeated {"]
+    for i in range(n):
+        lines += [f"  block b{i}:", *body, f"    jump b{i + 1}" if i < n - 1 else "    halt"]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def distinct_text(n: int) -> str:
+    """An n-block program with no two lines alike: block i holds
+    `kI = I`, `aI = kI + xI`, `cI = aI < kI` and `print aI`, then jumps
+    to block i + 1; the last one halts."""
+    lines = ["func distinct {"]
+    for i in range(n):
+        lines += [f"  block b{i}:", f"    k{i} = {i}", f"    a{i} = k{i} + x{i}",
+                  f"    c{i} = a{i} < k{i}", f"    print a{i}",
+                  f"    jump b{i + 1}" if i < n - 1 else "    halt"]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _trunc_div(a: int, b: int) -> int:
     q = abs(a) // abs(b)
     return q if (a < 0) == (b < 0) else -q

@@ -133,6 +133,26 @@ def test_validate_bad_variable_name():
     assert errors
 
 
+def test_validate_reports_a_shared_invalid_instruction_in_every_block():
+    # One object in two blocks, as the parser gives two equal lines.
+    for bad, why in ((BinOp("x", "a", "@", "b"), "unknown operator '@'"),
+                     (ConstAssign("x", 1 << 63), f"constant {1 << 63} outside 64-bit range")):
+        cfg = Cfg("bad", [BasicBlock(0, "a", [bad], Jump(1)),
+                          BasicBlock(1, "b", [bad], Halt())])
+        assert validate(cfg) == [f"block 0: {why}", f"block 1: {why}"]
+        assert [e.block for e in validate(cfg)] == [0, 1]
+
+
+def test_validate_accepts_a_shared_valid_instruction():
+    good = BinOp("x", "x", "+", "y")
+    cfg = Cfg("ok", [BasicBlock(0, "a", [good, good], Jump(1)),
+                     BasicBlock(1, "b", [good], Halt())])
+    assert validate(cfg) == []
+    # The id of an object found valid is not taken for another, invalid one.
+    cfg.blocks[1].instrs.append(BinOp("x", "x", "@", "y"))
+    assert validate(cfg) == ["block 1: unknown operator '@'"]
+
+
 def test_validate_non_dense_ids():
     cfg = Cfg("bad", [
         BasicBlock(1, "a", [], Halt()),

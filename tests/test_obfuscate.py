@@ -164,6 +164,21 @@ def test_thread_cfg_empty_partition():
     assert tcfg.wait_sets() == [WaitSet(())]
 
 
+def test_thread_cfg_wait_sets_keep_first_use_order():
+    # Two diamonds in a loop: 0 -> {1, 2} -> 3 -> {4, 5} -> 6 -> {0, 7}.
+    B, J = ir.Branch, ir.Jump
+    terms = [B("c", 1, 2), J(3), J(3), B("c", 4, 5), J(6), J(6), B("c", 0, 7), ir.Halt()]
+    cfg = ir.Cfg("fans", [ir.BasicBlock(i, f"b{i}", [], t) for i, t in enumerate(terms)])
+    part = Partition(2, [0, 1, 1, 0, 1, 1, 0, 0], seed=0)
+    arms = build_thread_cfg(cfg, part, 1)
+    # The entry wait comes back after blocks 4 and 5, and {4, 5} follows both 1 and 2.
+    assert [ws.flags for ws in arms.per_block_wait.values()] == [(4, 5), (4, 5), (1, 2), (1, 2)]
+    assert arms.wait_sets() == [WaitSet((1, 2)), WaitSet((4, 5))]
+    # Block 7's empty wait gets no Wait node.
+    joins = build_thread_cfg(cfg, part, 0)
+    assert [ws.flags for ws in joins.wait_sets()] == [(0,), (3,), (6,), (0, 7)]
+
+
 def test_thread_cfg_m1_chain_waits_on_direct_successors():
     cfg = chain(4)
     part = partition_blocks(cfg, 1, 0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import distinct_text, repeated_text
 from threadsplit import ir
 from threadsplit.ir import BasicBlock, BinOp, Branch, Cfg, ConstAssign, Halt, Jump, Print
 from threadsplit.kernels import KERNELS, kernel_text
@@ -18,6 +19,7 @@ from threadsplit.textfmt import (
     _parse_common,
     _parse_tokens,
     format_cfg,
+    format_instr,
     parse,
 )
 
@@ -153,6 +155,52 @@ def _agrees_with_token_parser(text: str) -> None:
 ))
 def test_parse_agrees_with_token_parser(text):
     _agrees_with_token_parser(text)
+
+
+@st.composite
+def repeated_layouts(draw):
+    """A printed program with statement lines copied in: its own
+    instructions after a label or an instruction, which keeps it valid,
+    and now and then any of its lines anywhere, which mostly does not. A
+    copy is verbatim or a near miss that only a blank, a comment or a
+    carriage return tells apart."""
+    cfg = draw(cfgs())
+    lines = format_cfg(cfg).splitlines()
+    instrs = [f"    {format_instr(i)}" for blk in cfg.blocks for i in blk.instrs] or ["    x = 1"]
+    tails = st.sampled_from(["", "", "", " ", "\t", "  # c", "#", "\r", " \r"])
+    out = []
+    for line in lines:
+        out.append(line)
+        if line.startswith("  block ") or line in instrs:
+            out += [draw(st.sampled_from(instrs)) + draw(tails)
+                    for _ in range(draw(st.integers(0, 2)))]
+        if draw(st.integers(0, 9)) == 9:
+            out.append(draw(st.sampled_from(lines)) + draw(tails))
+    return "\n".join(out) + "\n"
+
+
+@given(repeated_layouts())
+def test_repeated_lines_agree_with_token_parser(text):
+    _agrees_with_token_parser(text)
+
+
+@pytest.mark.parametrize("build", [repeated_text, distinct_text])
+def test_matcher_accepts_large_programs(build):
+    # A fallback to the token parser would be silent, and slow.
+    text = build(2000)
+    cfg = _parse_common(text)
+    assert cfg is not None
+    assert cfg == _parse_tokens(text)
+
+
+def test_equal_lines_share_one_instruction():
+    cfg = _parse_common(repeated_text(3))
+    first, *rest = (blk.instrs for blk in cfg.blocks)
+    for instrs in rest:
+        assert all(a is b for a, b in zip(instrs, first, strict=True))
+    near = _parse_common("func f {\n  block a:\n    x = 1\n    x = 1 \n    x = 1\n    halt\n}\n")
+    one, two, three = near.blocks[0].instrs
+    assert one is three and one is not two and one == two
 
 
 # The matcher must turn each of these down and leave it to the token
