@@ -167,7 +167,6 @@ def cmd_verify(args) -> int:
             m_values=m_values,
             partition_seeds=args.partition_seeds,
             schedule_seeds=args.schedule_seeds,
-            budget=args.budget,
         )
     except ValueError as e:
         raise CliError(str(e))
@@ -249,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wait-set oracle trials to run alongside the sweep "
                         "(default 100; 0 skips them)")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET,
-                   help="blocks the reference run may execute (default "
-                        f"{DEFAULT_STEP_BUDGET}); one that does not halt within it "
-                        "is an error, exit 2")
     p.add_argument("--report-out", help="write the full report as JSON")
     p.set_defaults(func=cmd_verify)
 

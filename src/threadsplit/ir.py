@@ -195,7 +195,8 @@ def _check_instrs(blk: BasicBlock, good_names: set[str], good_instrs: set[int], 
     once, and `good_instrs` the ids of the instruction objects found
     valid, so a shared one is checked once."""
     for instr in blk.instrs:
-        if id(instr) in good_instrs:
+        key = id(instr)
+        if key in good_instrs:
             continue
         if isinstance(instr, ConstAssign):
             names = (instr.dest,)
@@ -222,7 +223,7 @@ def _check_instrs(blk: BasicBlock, good_names: set[str], good_instrs: set[int], 
             add(f"block {blk.id}: unknown operator {instr.op!r}", blk.id)
             ok = False
         if ok:
-            good_instrs.add(id(instr))
+            good_instrs.add(key)
 
 
 def reachable(terms: list[Terminator], entry: int = 0) -> set[int]:

@@ -28,11 +28,10 @@ expression match per distinct line; equal lines share one row, so equal
 instruction lines share one frozen instruction. It only accepts: on any
 text it does not take whole, valid and in that layout, it gives up
 without a word, and the token parser (`_parse_tokens`) reads the text
-from the start. The
-token parser is the only source of ParseError. It checks every
-character before it parses, so a stray character is reported before an
-earlier syntax error: an order a line-at-a-time reader would have to
-tokenize the whole text to match.
+from the start. The token parser is the only source of ParseError. It
+checks every character before it parses, so a stray character is
+reported before an earlier syntax error: an order a line-at-a-time
+reader would have to tokenize the whole text to match.
 
 The token parser splits the text into plain string tokens with one
 regular expression, and a token's kind is read off its text. Line and
@@ -66,27 +65,28 @@ _TOKEN_RE = re.compile(
 _PUNCT = frozenset(("<=", "==", "!=", "\n", "")) | frozenset("=+-*/%<,:{}")
 _END_OF_STATEMENT = ("block", "}", "")
 
-# The line matcher: after the `func NAME {` header, the text is split at
-# "\n" (the header's own line goes on right after its `{`), and each
-# distinct line is matched once. A line holds one statement or none, then
-# blanks and an optional comment; a line that does not match is turned
-# down. Names are ASCII and not keywords, and literals have at most 19
-# digits: whatever else the token parser reads is left to it. Groups:
-# block label; dest, lhs, op, rhs or dest, number; print or jump and its
-# name; br's three names; halt or `}`.
+# The line matcher: after the `func NAME {` header, one match per line
+# (the header's own line goes on right after its `{`), over the text or
+# over its distinct lines joined. A line holds one statement or none,
+# then blanks, an optional comment and its newline or the end of the
+# text; any other line fills the last group. Names are ASCII and not
+# keywords, and literals have at most 19 digits: whatever else the token
+# parser reads is left to it. Groups: block label; dest, lhs, op, rhs or
+# dest, number; print or jump and its name; br's three names; halt or
+# `}`; the bad line.
 _NAME = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})(?!\w))[A-Za-z_][A-Za-z0-9_]*(?!\w)"
 _BLANK = r"[ \t\r]*"
 _COMMENT = r"(?:#[^\n]*)?"
 _HEADER_RE = re.compile(rf"(?:{_BLANK}{_COMMENT}\n)*{_BLANK}func[ \t\r]+({_NAME}){_BLANK}\{{")
-_STMT_RE = re.compile(
+_LINE_RE = re.compile(
     rf"{_BLANK}(?:(?:block[ \t\r]+({_NAME}){_BLANK}:"
     rf"|({_NAME}){_BLANK}={_BLANK}(?:({_NAME}){_BLANK}(<=|==|!=|[-+*/%<]){_BLANK}({_NAME})"
     rf"|(-?[0-9]{{1,19}}(?!\w)))"
     rf"|(print|jump)[ \t\r]+({_NAME})"
     rf"|br[ \t\r]+({_NAME}){_BLANK},{_BLANK}({_NAME}){_BLANK},{_BLANK}({_NAME})"
-    rf"|(halt|\}})){_BLANK})?{_COMMENT}"
+    rf"|(halt|\}})){_BLANK})?{_COMMENT}(?:\n|\Z)|(.+)\n?"
 )
-# The kinds of a decoded line (a row), each with its value: an
+# The kinds of a decoded distinct line (a row), each with its value: an
 # instruction; a block label; a terminator's (condition or "" for a jump,
 # target label, target label), or None for halt; the closing `}`; a blank.
 _INSTR, _LABEL, _TERM, _CLOSE, _BLANK_LINE = range(5)
@@ -198,26 +198,100 @@ def _parse_common(text: str) -> Cfg | None:
     """The Cfg of a program laid out one statement per line, or None for
     anything else: a line that does not match, a statement out of place,
     an unknown label or a cfg with problems (a duplicate label or an
-    out-of-range literal among them). One match per distinct line; equal
-    lines share one row, so equal instruction lines share one frozen
-    instruction. It never reports; `_parse_tokens` does."""
+    out-of-range literal among them). It never reports; `_parse_tokens`
+    does.
+
+    When at least a quarter of the lines after the header repeat, each
+    distinct line is matched once and equal lines share one row, so equal
+    instruction lines share one frozen instruction. Otherwise one pass
+    over the text matches every line, which is faster when few repeat."""
     head = _HEADER_RE.match(text)
     if head is None:
         return None
+    lines = text[head.end():].split("\n")
+    rows = dict.fromkeys(lines)
+    if 4 * len(rows) > 3 * len(lines):
+        read = _read_each_line(_LINE_RE.findall(text, head.end()))
+    else:
+        read = _read_distinct_lines(lines, rows)
+    if read is None:
+        return None
+    blocks, labels, pending = read
+    for blk, cond, iftrue, iffalse in pending:
+        if iftrue not in labels or iffalse not in labels:
+            return None
+        blk.term = Branch(cond, labels[iftrue], labels[iffalse]) if cond else Jump(labels[iftrue])
+    cfg = Cfg(name=head[1], blocks=blocks)
+    return None if cfg.problems else cfg
+
+
+def _read_each_line(matches: list[tuple[str, ...]]) -> tuple | None:
+    """From one `_LINE_RE` match per line: the blocks in text order, each
+    label's block id, and (block, branch condition or "" for a jump,
+    target label, target label) for each block a jump or a branch closes.
+    None if the lines are not a program's body up to its closing `}`."""
     blocks: list[BasicBlock] = []
     labels: dict[str, int] = {}
-    # (block, branch condition or "" for a jump, target label, target label)
     pending: list[tuple[BasicBlock, str, str, str]] = []
-    rows: dict[str, tuple] = {}  # line text -> (kind, value), for this text only
     add = None  # appends to the open block's instructions, until its terminator
     closed = False
-    for line in text[head.end():].split("\n"):
-        row = rows.get(line)
-        if row is None:
-            row = rows[line] = _row(line)
-            if row is None:
+    for (label, dest, lhs, op, rhs, num, word, arg, cond, iftrue, iffalse, end,
+         bad) in matches:
+        if dest:
+            if add is None:
                 return None
-        kind, value = row
+            add(BinOp(dest, lhs, op, rhs) if op else ConstAssign(dest, int(num)))
+        elif label:
+            if add is not None or closed:
+                return None
+            labels[label] = len(blocks)
+            blk = BasicBlock(len(blocks), label)
+            blocks.append(blk)
+            add = blk.instrs.append
+        elif word == "print":
+            if add is None:
+                return None
+            add(Print(arg))
+        elif word or cond or end == "halt":  # a terminator closes the block
+            if add is None:
+                return None
+            if word or cond:
+                pending.append((blk, cond, arg or iftrue, arg or iffalse))
+            add = None
+        elif end:
+            if add is not None or closed:
+                return None
+            closed = True
+        elif bad:
+            return None
+    return (blocks, labels, pending) if closed else None
+
+
+def _read_distinct_lines(lines: list[str], rows: dict[str, tuple | None]) -> tuple | None:
+    """`_read_each_line` with one match per distinct line: `rows` holds
+    each distinct line of `lines` once, and each gets its decoded row."""
+    for line, (label, dest, lhs, op, rhs, num, word, arg, cond, iftrue, iffalse, end,
+               bad) in zip(rows, _LINE_RE.findall("\n".join(rows))):
+        if dest:
+            rows[line] = _INSTR, BinOp(dest, lhs, op, rhs) if op else ConstAssign(dest, int(num))
+        elif label:
+            rows[line] = _LABEL, label
+        elif word == "print":
+            rows[line] = _INSTR, Print(arg)
+        elif word or cond:
+            rows[line] = _TERM, (cond, arg or iftrue, arg or iffalse)
+        elif end:
+            rows[line] = (_TERM, None) if end == "halt" else (_CLOSE, None)
+        elif bad:
+            return None
+        else:
+            rows[line] = _BLANK_LINE, None
+    blocks: list[BasicBlock] = []
+    labels: dict[str, int] = {}
+    pending: list[tuple[BasicBlock, str, str, str]] = []
+    add = None  # appends to the open block's instructions, until its terminator
+    closed = False
+    for kind, value in map(rows.__getitem__, lines):
         if kind == _INSTR:
             if add is None:
                 return None
@@ -239,35 +313,7 @@ def _parse_common(text: str) -> Cfg | None:
             if add is not None or closed:
                 return None
             closed = True
-    if not closed:
-        return None
-    for blk, cond, iftrue, iffalse in pending:
-        if iftrue not in labels or iffalse not in labels:
-            return None
-        blk.term = Branch(cond, labels[iftrue], labels[iffalse]) if cond else Jump(labels[iftrue])
-    cfg = Cfg(name=head[1], blocks=blocks)
-    return None if cfg.problems else cfg
-
-
-def _row(line: str) -> tuple | None:
-    """Decode one line into (kind, value), or None when it does not match."""
-    mo = _STMT_RE.fullmatch(line)
-    if mo is None:
-        return None
-    label, dest, lhs, op, rhs, num, word, arg, cond, iftrue, iffalse, end = mo.groups()
-    if dest:
-        return _INSTR, BinOp(dest, lhs, op, rhs) if op else ConstAssign(dest, int(num))
-    if label:
-        return _LABEL, label
-    if word == "print":
-        return _INSTR, Print(arg)
-    if word:
-        return _TERM, ("", arg, arg)
-    if cond:
-        return _TERM, (cond, iftrue, iffalse)
-    if end == "halt":
-        return _TERM, None
-    return (_CLOSE, None) if end else (_BLANK_LINE, None)
+    return (blocks, labels, pending) if closed else None
 
 
 def _parse_tokens(text: str) -> Cfg:

@@ -25,7 +25,6 @@ from .ir import BasicBlock, BinOp, Branch, Cfg, Halt, Jump
 from .obfuscate import check_bijection, obfuscate, wait_set_query
 from .runtime import (
     COMPLETED,
-    DEFAULT_STEP_BUDGET,
     RANDOM,
     ROUND_ROBIN,
     ExecutionTrace,
@@ -108,12 +107,11 @@ class VerifyConfig:
     m_values: tuple[int, ...] = (1, 2, 3, 4)
     partition_seeds: int = 25
     schedule_seeds: int = 10
-    budget: int = DEFAULT_STEP_BUDGET  # blocks the reference run may execute
 
     def __post_init__(self):
         if not self.m_values or any(m < 1 for m in self.m_values):
             raise ValueError("m_values entries must be >= 1")
-        for name in ("partition_seeds", "schedule_seeds", "budget"):
+        for name in ("partition_seeds", "schedule_seeds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -242,14 +240,13 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     Each run's budget is the reference's block count: a run that needs
     more has already diverged. Each program is built by `obfuscate`. The
     cfg is validated once, before the reference runs (`Cfg.problems` keeps
-    the result for every build); an invalid one raises ValueError, and so
-    does a reference run that does not complete within `config.budget`."""
+    the result for every build); an invalid one raises ValueError."""
     config = config or VerifyConfig()
     name = name or cfg.name
     errors = cfg.problems
     if errors:
         raise ValueError(f"invalid cfg {name!r}: " + "; ".join(errors))
-    ref = run_sequential(cfg, inputs, max_steps=config.budget)
+    ref = run_sequential(cfg, inputs)
     if ref.status != COMPLETED:
         raise ValueError(f"reference run of {name} did not complete: {ref.status}")
     ref_blocks = ref.block_sequence()

@@ -173,7 +173,7 @@ def repeated_layouts(draw):
         out.append(line)
         if line.startswith("  block ") or line in instrs:
             out += [draw(st.sampled_from(instrs)) + draw(tails)
-                    for _ in range(draw(st.integers(0, 2)))]
+                    for _ in range(draw(st.integers(0, 4)))]
         if draw(st.integers(0, 9)) == 9:
             out.append(draw(st.sampled_from(lines)) + draw(tails))
     return "\n".join(out) + "\n"
@@ -194,13 +194,19 @@ def test_matcher_accepts_large_programs(build):
 
 
 def test_equal_lines_share_one_instruction():
+    # At least a quarter of the lines repeat: each distinct line is
+    # matched once, and equal lines share one instruction.
     cfg = _parse_common(repeated_text(3))
     first, *rest = (blk.instrs for blk in cfg.blocks)
     for instrs in rest:
         assert all(a is b for a, b in zip(instrs, first, strict=True))
-    near = _parse_common("func f {\n  block a:\n    x = 1\n    x = 1 \n    x = 1\n    halt\n}\n")
-    one, two, three = near.blocks[0].instrs
+    near = _parse_common("func f {\n  block a:\n" + "    x = 1\n    x = 1 \n" * 3 + "    halt\n}\n")
+    one, two, three, *_ = near.blocks[0].instrs
     assert one is three and one is not two and one == two
+    # Fewer repeat: one pass matches every line, and each builds its own.
+    few = _parse_common("func f {\n  block a:\n    x = 1\n    x = 1\n    y = 2\n    z = 3\n    halt\n}\n")
+    one, two, *_ = few.blocks[0].instrs
+    assert one == two and one is not two
 
 
 # The matcher must turn each of these down and leave it to the token
