@@ -172,7 +172,7 @@ def cmd_verify(args) -> int:
         raise CliError(str(e))
     try:
         report = verify_files(named, config, alg1_trials=args.alg1_trials, seed=args.seed)
-    except ValueError as e:  # a reference run that does not complete
+    except ValueError as e:  # a negative --alg1-trials, or a reference run that does not finish
         raise CliError(str(e))
     print(report.summary())
     if args.report_out:

@@ -284,11 +284,13 @@ def _field(doc: dict, key: str, kind: type):
 def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     """Rebuild an ObfuscatedProgram against its source cfg.
 
-    The stored assignment is authoritative (it may have been hand-tuned);
-    wait sets are recomputed from it and cross-checked against the stored
-    ones, thread by thread, so corruption or a cfg/file mismatch is
-    detected at the first thread that differs. Any malformed file raises
-    ValueError.
+    Checked in order, any failure raising ValueError: a JSON object;
+    `version` is FORMAT_VERSION; `source_name` and `n` match the cfg; `m`
+    is an int >= 1; `assign` holds one thread in 0..m-1 per block; `seed`
+    is an int; `threads` holds m entries, each equal to its thread rebuilt
+    from the assignment. The stored assignment is authoritative (it may
+    have been hand-tuned): `seed` and `prng` only record how it was drawn
+    and are not checked against it; `prng` and unknown keys are not read.
     """
     try:
         doc = json.loads(text)

@@ -23,15 +23,15 @@ statements inside a block are separated by newlines. Block ids are
 assigned in textual order starting at 0; the first block is the entry.
 
 `parse` tries two parsers in turn. The line matcher (`_parse_common`)
-reads the usual layout, one statement per line, with one regular
-expression match per distinct line; equal lines share one row, so equal
-instruction lines share one frozen instruction. It only accepts: on any
-text it does not take whole, valid and in that layout, it gives up
-without a word, and the token parser (`_parse_tokens`) reads the text
-from the start. The token parser is the only source of ParseError. It
-checks every character before it parses, so a stray character is
-reported before an earlier syntax error: an order a line-at-a-time
-reader would have to tokenize the whole text to match.
+reads the usual layout, one statement per line. It matches and decodes
+each distinct line once, so in every text it accepts, equal instruction
+lines share one frozen instruction. It only accepts: on any text it does
+not take whole, valid and in that layout, it gives up without a word,
+and the token parser (`_parse_tokens`) reads the text from the start.
+The token parser is the only source of ParseError. It checks every
+character before it parses, so a stray character is reported before an
+earlier syntax error: an order a line-at-a-time reader would have to
+tokenize the whole text to match.
 
 The token parser splits the text into plain string tokens with one
 regular expression, and a token's kind is read off its text. Line and
@@ -65,11 +65,11 @@ _TOKEN_RE = re.compile(
 _PUNCT = frozenset(("<=", "==", "!=", "\n", "")) | frozenset("=+-*/%<,:{}")
 _END_OF_STATEMENT = ("block", "}", "")
 
-# The line matcher: after the `func NAME {` header, one match per line
-# (the header's own line goes on right after its `{`), over the text or
-# over its distinct lines joined. A line holds one statement or none,
-# then blanks, an optional comment and its newline or the end of the
-# text; any other line fills the last group. Names are ASCII and not
+# The line matcher: after the `func NAME {` header, one match per
+# distinct line (the header's own line goes on right after its `{`), over
+# the distinct lines joined. A line holds one statement or none, then
+# blanks, an optional comment and its newline or the end of the text;
+# any other line fills the last group. Names are ASCII and not
 # keywords, and literals have at most 19 digits: whatever else the token
 # parser reads is left to it. Groups: block label; dest, lhs, op, rhs or
 # dest, number; print or jump and its name; br's three names; halt or
@@ -201,75 +201,14 @@ def _parse_common(text: str) -> Cfg | None:
     out-of-range literal among them). It never reports; `_parse_tokens`
     does.
 
-    When at least a quarter of the lines after the header repeat, each
-    distinct line is matched once and equal lines share one row, so equal
-    instruction lines share one frozen instruction. Otherwise one pass
-    over the text matches every line, which is faster when few repeat."""
+    Each distinct line after the header is matched and decoded once into
+    a row, and every line is read through those rows, so equal
+    instruction lines share one frozen instruction."""
     head = _HEADER_RE.match(text)
     if head is None:
         return None
     lines = text[head.end():].split("\n")
     rows = dict.fromkeys(lines)
-    if 4 * len(rows) > 3 * len(lines):
-        read = _read_each_line(_LINE_RE.findall(text, head.end()))
-    else:
-        read = _read_distinct_lines(lines, rows)
-    if read is None:
-        return None
-    blocks, labels, pending = read
-    for blk, cond, iftrue, iffalse in pending:
-        if iftrue not in labels or iffalse not in labels:
-            return None
-        blk.term = Branch(cond, labels[iftrue], labels[iffalse]) if cond else Jump(labels[iftrue])
-    cfg = Cfg(name=head[1], blocks=blocks)
-    return None if cfg.problems else cfg
-
-
-def _read_each_line(matches: list[tuple[str, ...]]) -> tuple | None:
-    """From one `_LINE_RE` match per line: the blocks in text order, each
-    label's block id, and (block, branch condition or "" for a jump,
-    target label, target label) for each block a jump or a branch closes.
-    None if the lines are not a program's body up to its closing `}`."""
-    blocks: list[BasicBlock] = []
-    labels: dict[str, int] = {}
-    pending: list[tuple[BasicBlock, str, str, str]] = []
-    add = None  # appends to the open block's instructions, until its terminator
-    closed = False
-    for (label, dest, lhs, op, rhs, num, word, arg, cond, iftrue, iffalse, end,
-         bad) in matches:
-        if dest:
-            if add is None:
-                return None
-            add(BinOp(dest, lhs, op, rhs) if op else ConstAssign(dest, int(num)))
-        elif label:
-            if add is not None or closed:
-                return None
-            labels[label] = len(blocks)
-            blk = BasicBlock(len(blocks), label)
-            blocks.append(blk)
-            add = blk.instrs.append
-        elif word == "print":
-            if add is None:
-                return None
-            add(Print(arg))
-        elif word or cond or end == "halt":  # a terminator closes the block
-            if add is None:
-                return None
-            if word or cond:
-                pending.append((blk, cond, arg or iftrue, arg or iffalse))
-            add = None
-        elif end:
-            if add is not None or closed:
-                return None
-            closed = True
-        elif bad:
-            return None
-    return (blocks, labels, pending) if closed else None
-
-
-def _read_distinct_lines(lines: list[str], rows: dict[str, tuple | None]) -> tuple | None:
-    """`_read_each_line` with one match per distinct line: `rows` holds
-    each distinct line of `lines` once, and each gets its decoded row."""
     for line, (label, dest, lhs, op, rhs, num, word, arg, cond, iftrue, iffalse, end,
                bad) in zip(rows, _LINE_RE.findall("\n".join(rows))):
         if dest:
@@ -313,7 +252,14 @@ def _read_distinct_lines(lines: list[str], rows: dict[str, tuple | None]) -> tup
             if add is not None or closed:
                 return None
             closed = True
-    return (blocks, labels, pending) if closed else None
+    if not closed:
+        return None
+    for blk, cond, iftrue, iffalse in pending:
+        if iftrue not in labels or iffalse not in labels:
+            return None
+        blk.term = Branch(cond, labels[iftrue], labels[iffalse]) if cond else Jump(labels[iftrue])
+    cfg = Cfg(name=head[1], blocks=blocks)
+    return None if cfg.problems else cfg
 
 
 def _parse_tokens(text: str) -> Cfg:

@@ -181,6 +181,8 @@ def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> A
     """Compare the production wait-set pass against the BFS oracle over
     `trials` random cfgs: `_SUBSETS_PER_CFG` random block subsets each,
     one pass per subset, queried with every block as the start."""
+    if trials < 0:
+        raise ValueError(f"wait-set oracle trials must be >= 0, got {trials}")
     r = rng.Rng(seed)
     comparisons = 0
     mismatches: list[dict] = []
@@ -288,8 +290,9 @@ def check_mutations(cfg: Cfg, m: int = 3, seed: int = 7) -> dict[str, dict]:
 def verify_files(named_cfgs: list[tuple[str, Cfg]], config: VerifyConfig | None = None,
                  alg1_trials: int = 100, seed: int = 2024) -> VerifyReport:
     """Full verification: wait-set oracle trials (unless alg1_trials is
-    0) plus the differential sweep over (name, cfg) pairs."""
-    alg1 = check_algorithm1(alg1_trials, seed=seed) if alg1_trials > 0 else None
+    0) plus the differential sweep over (name, cfg) pairs. A negative
+    alg1_trials raises ValueError."""
+    alg1 = check_algorithm1(alg1_trials, seed=seed) if alg1_trials else None
     cases = [case for name, cfg in named_cfgs
              for case in check_equivalence(cfg, config, name).cases]
     return VerifyReport(cases, alg1)

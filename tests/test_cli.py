@@ -405,6 +405,13 @@ def test_verify_rejects_bad_m_values(kernels):
     assert main(["verify", kernels["evens"], "--m-values", "0,1"]) == 2
 
 
+def test_verify_rejects_negative_alg1_trials(kernels, capsys):
+    assert main(["verify", kernels["evens"], "--alg1-trials", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: wait-set oracle trials must be >= 0, got -1"]
+
+
 def test_verify_requires_corpus():
     assert main(["verify"]) == 2
 
@@ -465,3 +472,11 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    section = README.read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL)[1]
+    (tmp_path / "fib.cfg").write_text(kernel_text("fib"))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "<README library use>", "exec"), {"__name__": "readme"})

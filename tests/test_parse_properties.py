@@ -194,8 +194,8 @@ def test_matcher_accepts_large_programs(build):
 
 
 def test_equal_lines_share_one_instruction():
-    # At least a quarter of the lines repeat: each distinct line is
-    # matched once, and equal lines share one instruction.
+    # Each distinct line is matched once, and equal lines share one
+    # instruction, however few of the lines repeat.
     cfg = _parse_common(repeated_text(3))
     first, *rest = (blk.instrs for blk in cfg.blocks)
     for instrs in rest:
@@ -203,10 +203,9 @@ def test_equal_lines_share_one_instruction():
     near = _parse_common("func f {\n  block a:\n" + "    x = 1\n    x = 1 \n" * 3 + "    halt\n}\n")
     one, two, three, *_ = near.blocks[0].instrs
     assert one is three and one is not two and one == two
-    # Fewer repeat: one pass matches every line, and each builds its own.
     few = _parse_common("func f {\n  block a:\n    x = 1\n    x = 1\n    y = 2\n    z = 3\n    halt\n}\n")
     one, two, *_ = few.blocks[0].instrs
-    assert one == two and one is not two
+    assert one is two
 
 
 # The matcher must turn each of these down and leave it to the token
