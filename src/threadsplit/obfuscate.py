@@ -16,14 +16,18 @@ next. Thread entry nodes wait on the analogous set computed from the
 program entry.
 
 All of a thread's wait sets come from one pass (`wait_set_query`): an
-iterative Tarjan walk over the blocks outside the partition gives each
-of them `reach`, the in-partition blocks it reaches first. Blocks of one
-strongly connected component share their reach, and Tarjan closes a
-component only after every component it leads to, so each reach is one
-union over finished successors. A block's wait set is then the union,
-over its successors s, of {s} when s is in the partition and reach[s]
-otherwise; the entry wait applies the same rule to a virtual pre-entry
-node whose sole successor is the program entry.
+iterative Tarjan walk (Tarjan, SIAM J. Comput. 1972) over the blocks
+outside the partition gives each of them `reach`, the in-partition
+blocks it reaches first. A reach is an int used as a bitset over the
+thread's owned blocks: bit i stands for the i-th smallest of them, and
+an owned block's reach is its own bit. Blocks of one strongly connected
+component share their reach, and Tarjan closes a component only after
+every component it leads to, so each reach is one OR over finished
+successors. A block's wait set is the OR of its successors' reach, read
+back as the ascending tuple of those blocks; each distinct int is read
+once, so equal wait sets of a thread share one tuple. The entry wait
+applies the same rule to a virtual pre-entry node whose sole successor
+is the program entry.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import json
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import ir, rng
 from .ir import Cfg
@@ -47,9 +52,6 @@ class Partition:
     m: int
     assign: list[int]
     seed: int
-
-    def owned(self, t: int) -> frozenset[int]:
-        return frozenset(b for b, ti in enumerate(self.assign) if ti == t)
 
 
 @dataclass(frozen=True)
@@ -119,26 +121,61 @@ def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:
     return Partition(m=m, assign=[r.below(m) for _ in range(cfg.n)], seed=seed)
 
 
-def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], frozenset[int]]:
-    """One pass over the blocks outside `bbset` (see the module
-    docstring). Returns a query mapping the successors of a block, or
-    the targets of any virtual node, to the blocks of `bbset` reached
-    first from it: a target in `bbset` is itself, any other target
-    contributes its reach. `succs` is indexed by block id, as from
-    ir.successor_map."""
+# The positions of the set bits of each byte value, ascending.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+# Up to this many set bits, a reach is read one highest bit at a time;
+# above it, byte by byte through `_BYTE_BITS`.
+_FEW_BITS = 8
+
+
+def _decode(bits: int, owned: list[int]) -> tuple[int, ...]:
+    """The blocks `owned[i]` for each bit i set in `bits`, ascending."""
+    found = []
+    if bits.bit_count() <= _FEW_BITS:
+        # bit_length is O(1), and dropping the top bit shrinks the int.
+        while bits:
+            top = bits.bit_length() - 1
+            found.append(owned[top])
+            bits ^= 1 << top
+        found.reverse()
+        return tuple(found)
+    # Start at the byte of the lowest set bit, so that flags high in a
+    # long owned list cost only the bytes they span.
+    at = ((bits & -bits).bit_length() - 1) & ~7
+    bits >>= at
+    for byte in bits.to_bytes((bits.bit_length() + 7) // 8, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                found.append(owned[at + i])
+        at += 8
+    return tuple(found)
+
+
+def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], tuple[int, ...]]:
+    """One pass over the blocks outside `bbset`, the thread's owned
+    block ids (see the module docstring). Returns a query mapping the
+    successors of a block, or the targets of any virtual node, to the
+    blocks of `bbset` reached first from it, ascending: a target in
+    `bbset` is itself, any other target contributes its reach. Equal
+    answers are one shared tuple. `succs` is indexed by block id, as
+    from ir.successor_map."""
     n = len(succs)
+    owned = sorted(bbset)
     num = [0] * n  # DFS discovery number; 0 while unvisited
     low = [0] * n
-    reach: list = [None] * n
+    reach = [0] * n  # bit i stands for owned[i]
     on_stack = [False] * n
+    # An owned block counts as a finished component whose reach is itself.
+    for i, b in enumerate(owned):
+        num[b] = -1
+        reach[b] = 1 << i
     stack: list[int] = []
     counter = 0
     for root in range(n):
-        if num[root] or root in bbset:
+        if num[root]:
             continue
         counter += 1
         num[root] = low[root] = counter
-        reach[root] = set()
         stack.append(root)
         on_stack[root] = True
         work = [(root, iter(succs[root]))]
@@ -146,32 +183,36 @@ def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], frozenset[int]]:
             v, edges = work[-1]
             rv = reach[v]
             for w in edges:
-                if w in bbset:
-                    rv.add(w)
-                elif not num[w]:
+                if not num[w]:
+                    reach[v] = rv
                     counter += 1
                     num[w] = low[w] = counter
-                    reach[w] = set()
                     stack.append(w)
                     on_stack[w] = True
                     work.append((w, iter(succs[w])))
                     break
-                elif on_stack[w]:
+                if on_stack[w]:
                     if num[w] < low[v]:
                         low[v] = num[w]
-                else:  # w's component is closed, so its reach is final
+                else:  # w is owned, or its component is closed: its reach is final
                     rv |= reach[w]
             else:
                 work.pop()
+                reach[v] = rv
                 if low[v] == num[v]:
                     # Close v's component: its members share one reach.
                     x = stack.pop()
                     on_stack[x] = False
-                    while x != v:
-                        rv |= reach[x]
-                        reach[x] = rv
-                        x = stack.pop()
-                        on_stack[x] = False
+                    if x != v:
+                        members = []
+                        while x != v:
+                            members.append(x)
+                            rv |= reach[x]
+                            x = stack.pop()
+                            on_stack[x] = False
+                        reach[v] = rv
+                        for x in members:
+                            reach[x] = rv
                 if work:
                     u = work[-1][0]
                     if on_stack[v]:
@@ -180,14 +221,16 @@ def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], frozenset[int]]:
                     else:
                         reach[u] |= rv
 
-    def first_in_set(targets: Iterable[int]) -> frozenset[int]:
-        found: set[int] = set()
+    answers: dict[int, tuple[int, ...]] = {0: ()}
+
+    def first_in_set(targets: Iterable[int]) -> tuple[int, ...]:
+        bits = 0
         for s in targets:
-            if s in bbset:
-                found.add(s)
-            else:
-                found |= reach[s]
-        return frozenset(found)
+            bits |= reach[s]
+        found = answers.get(bits)
+        if found is None:
+            found = answers[bits] = _decode(bits, owned)
+        return found
 
     return first_in_set
 
@@ -197,11 +240,11 @@ def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> Thre
         raise ValueError(f"thread index {t} out of range for m={partition.m}")
     if succs is None:
         succs = ir.successor_map(cfg)
-    owned = partition.owned(t)
+    owned = [b for b, ti in enumerate(partition.assign) if ti == t]
     first_owned = wait_set_query(succs, owned)
-    entry_wait = WaitSet(tuple(sorted(first_owned((cfg.entry,)))))
-    per_block = {b: WaitSet(tuple(sorted(first_owned(succs[b])))) for b in sorted(owned)}
-    return ThreadCfg(t, owned, entry_wait, per_block)
+    entry_wait = WaitSet(first_owned((cfg.entry,)))
+    per_block = {b: WaitSet(first_owned(succs[b])) for b in owned}
+    return ThreadCfg(t, frozenset(owned), entry_wait, per_block)
 
 
 def obfuscate(cfg: Cfg, m: int, seed: int) -> ObfuscatedProgram:
@@ -245,10 +288,36 @@ def check_bijection(prog: ObfuscatedProgram) -> list[str]:
 def _thread_doc(tcfg: ThreadCfg) -> dict:
     return {
         "owned": sorted(tcfg.owned_blocks),
-        "entry_wait": list(tcfg.entry_wait.flags),
-        "per_block_wait": {str(b): list(ws.flags)
-                           for b, ws in sorted(tcfg.per_block_wait.items())},
+        "entry_wait": tcfg.entry_wait.flags,
+        "per_block_wait": {str(b): ws.flags for b, ws in sorted(tcfg.per_block_wait.items())},
     }
+
+
+_THREAD_KEYS = {"owned", "entry_wait", "per_block_wait"}
+_INT = frozenset({int})
+
+
+def _stored_matches(stored, tcfg: ThreadCfg) -> bool:
+    """Whether a thread read from a program file is `_thread_doc(tcfg)`:
+    the same keys, and lists of the same values, all of them ints (a
+    float or a bool that compares equal to one is refused)."""
+    if not isinstance(stored, dict) or stored.keys() != _THREAD_KEYS:
+        return False
+    owned, entry, waits = stored["owned"], stored["entry_wait"], stored["per_block_wait"]
+    per_block = tcfg.per_block_wait
+    if (owned != sorted(tcfg.owned_blocks) or entry != list(tcfg.entry_wait.flags)
+            or not isinstance(waits, dict) or len(waits) != len(per_block)):
+        return False
+    for b, ws in per_block.items():
+        if waits.get(str(b)) != list(ws.flags):
+            return False
+    # A float or a bool that equals a block id passes the comparisons
+    # above. A bool can only stand for block 0 or 1, so for a thread that
+    # owns neither, it is enough that a float would make the sum a float.
+    values = chain(owned, entry, *waits.values())
+    if tcfg.owned_blocks.isdisjoint((0, 1)):
+        return type(sum(values)) is int
+    return _INT.issuperset(map(type, values))
 
 
 def program_to_json(prog: ObfuscatedProgram) -> str:
@@ -288,9 +357,10 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     `version` is FORMAT_VERSION; `source_name` and `n` match the cfg; `m`
     is an int >= 1; `assign` holds one thread in 0..m-1 per block; `seed`
     is an int; `threads` holds m entries, each equal to its thread rebuilt
-    from the assignment. The stored assignment is authoritative (it may
-    have been hand-tuned): `seed` and `prng` only record how it was drawn
-    and are not checked against it; `prng` and unknown keys are not read.
+    from the assignment, with every block id an int. The stored assignment
+    is authoritative (it may have been hand-tuned): `seed` and `prng` only
+    record how it was drawn and are not checked against it; `prng` and
+    unknown keys are not read.
     """
     try:
         doc = json.loads(text)
@@ -322,7 +392,7 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     threads = []
     for t, stored in enumerate(stored_threads):
         threads.append(build_thread_cfg(cfg, partition, t, succs))
-        if _thread_doc(threads[-1]) != stored:
+        if not _stored_matches(stored, threads[-1]):
             raise ValueError(
                 f"thread {t} in program file does not match the "
                 f"given cfg (stale or edited file?)"

@@ -196,15 +196,15 @@ def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> A
             first_in_subset = wait_set_query(succs, subset)
             for bcur in range(n):
                 got = first_in_subset(succs[bcur])
-                want = oracle_first_inset_reachable(bcur, subset, cfg, succs)
+                want = tuple(sorted(oracle_first_inset_reachable(bcur, subset, cfg, succs)))
                 comparisons += 1
                 if got != want:
                     mismatches.append({
                         "edges": [sorted(s) for s in succs],
                         "bcur": bcur,
                         "subset": sorted(subset),
-                        "got": sorted(got),
-                        "want": sorted(want),
+                        "got": list(got),
+                        "want": list(want),
                     })
     return Alg1Report(trials, comparisons, mismatches)
 

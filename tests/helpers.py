@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import threadsplit
-from threadsplit import ir
+from threadsplit import ir, rng
 from threadsplit.ir import BasicBlock, Branch, Cfg, Halt, Jump
 from threadsplit.runtime import Trap
 
@@ -44,6 +44,25 @@ def diamond() -> Cfg:
         BasicBlock(2, "right", [], Jump(3)),
         BasicBlock(3, "bottom", [], Halt()),
     ])
+
+
+def loop_rich(seed: int, n: int = 2000, window: int = 48) -> Cfg:
+    """A seeded n-block cfg with many nested loops. Block i always has
+    i + 1 as a successor, and the last block halts. With chance 0.4 a
+    block also branches back to one of the `window` blocks up to and
+    including itself; otherwise, with chance 0.4, it branches forward to
+    one of the `window` blocks after i + 1 (clamped to the last block)."""
+    r = rng.Rng(seed)
+    terms: list[Jump | Branch | Halt] = []
+    for i in range(n - 1):
+        if r.chance(0.4):
+            terms.append(Branch("c", i - r.below(min(window, i + 1)), i + 1))
+        elif r.chance(0.4):
+            terms.append(Branch("c", min(i + 2 + r.below(window), n - 1), i + 1))
+        else:
+            terms.append(Jump(i + 1))
+    terms.append(Halt())
+    return Cfg(f"loops{seed}", [BasicBlock(i, f"b{i}", [], t) for i, t in enumerate(terms)])
 
 
 def repeated_text(n: int) -> str:

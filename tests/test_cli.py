@@ -194,6 +194,17 @@ def test_run_rejects_mismatched_artifact(kernels, tmp_path):
     assert main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "sched"]) == 2
 
 
+def test_run_refuses_an_artifact_with_float_block_ids(kernels, capsys, tmp_path):
+    obf = tmp_path / "evens.obf"
+    main(["obfuscate", "-i", kernels["evens"], "-m", "2", "-o", str(obf)])
+    doc = json.loads(obf.read_text())
+    doc["threads"][0]["owned"] = [float(b) for b in doc["threads"][0]["owned"]]
+    obf.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "-i", kernels["evens"], "--obf", str(obf), "--mode", "sched"]) == 2
+    assert "does not match" in capsys.readouterr().err
+
+
 def test_run_defines_seed_the_store(capsys, tmp_path):
     src = tmp_path / "inp.cfg"
     src.write_text(INPUT_ONLY)

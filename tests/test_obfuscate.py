@@ -5,7 +5,7 @@ import json
 import pytest
 
 import threadsplit.obfuscate
-from helpers import chain, diamond, two_loop
+from helpers import chain, diamond, loop_rich, two_loop
 from threadsplit import ir
 from threadsplit.kernels import kernel_text
 from threadsplit.obfuscate import (
@@ -21,6 +21,7 @@ from threadsplit.obfuscate import (
     wait_set_query,
 )
 from threadsplit.textfmt import parse
+from threadsplit.verify import oracle_first_inset_reachable
 
 
 def prime_cfg():
@@ -30,7 +31,7 @@ def prime_cfg():
 # The wait-set walk, pinned on the five canonical shapes.
 
 def walk(bcur, bbset, cfg):
-    """The blocks of `bbset` that `bcur`'s successors reach first."""
+    """The blocks of `bbset` that `bcur`'s successors reach first, ascending."""
     succs = ir.successor_map(cfg)
     return wait_set_query(succs, frozenset(bbset))(succs[bcur])
 
@@ -42,55 +43,55 @@ def entry_wait(bbset, cfg):
 
 def test_walk_linear_skips_out_of_set_blocks():
     cfg = chain(5)  # E=0, A=1, B=2, C=3, X=4
-    assert walk(1, {1, 3}, cfg) == {3}
+    assert walk(1, {1, 3}, cfg) == (3,)
 
 
 def test_walk_direct_successor_in_set():
     cfg = chain(2)
-    assert walk(0, {0, 1}, cfg) == {1}
+    assert walk(0, {0, 1}, cfg) == (1,)
 
 
 def test_walk_from_exit_is_empty():
     cfg = chain(5)
     for bbset in ({0}, {4}, {0, 1, 2, 3, 4}, set()):
-        assert walk(4, bbset, cfg) == set()
+        assert walk(4, bbset, cfg) == ()
 
 
 def test_walk_self_loop_finds_itself():
     cfg = two_loop()
-    assert walk(0, {0}, cfg) == {0}
+    assert walk(0, {0}, cfg) == (0,)
 
 
 def test_walk_diamond_converges():
     cfg = diamond()
-    assert walk(0, {0, 3}, cfg) == {3}
+    assert walk(0, {0, 3}, cfg) == (3,)
 
 
 def test_walk_full_set_equals_successors():
     cfg = diamond()
     everything = set(range(cfg.n))
     for b in range(cfg.n):
-        assert walk(b, everything, cfg) == ir.successor_map(cfg)[b]
+        assert walk(b, everything, cfg) == tuple(sorted(ir.successor_map(cfg)[b]))
 
 
 def test_walk_empty_set_is_empty():
     cfg = diamond()
     for b in range(cfg.n):
-        assert walk(b, set(), cfg) == set()
+        assert walk(b, set(), cfg) == ()
 
 
 def test_initial_wait_set_entry_owned():
     cfg = diamond()
-    assert entry_wait({0, 3}, cfg) == {0}
+    assert entry_wait({0, 3}, cfg) == (0,)
 
 
 def test_initial_wait_set_empty_partition():
-    assert entry_wait(set(), diamond()) == set()
+    assert entry_wait(set(), diamond()) == ()
 
 
 def test_initial_wait_set_skips_to_first_owned():
     cfg = chain(3)
-    assert entry_wait({2}, cfg) == {2}
+    assert entry_wait({2}, cfg) == (2,)
 
 
 # Partitioning.
@@ -293,6 +294,34 @@ def test_program_json_bytes_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, m, seed)
 
 
+# The same for a 2000-block loop-rich cfg (`loop_rich(1)`, partition seed
+# 3), whose wait sets span many bytes of owned positions: a mean of 1.7
+# flags per block at m=1, 3.9 at m=2, 25 at m=4 and 102 at m=8.
+LOOP_RICH_DIGESTS = {
+    1: "d7e2e43e4199006a5405dd8649122d128de88ea74fff3871dd8f9a437d1a5901",
+    2: "1bcec7fd059048289d33f0c3abe4f952024e27ddda3eec8eceab6295c6796aa9",
+    4: "95eafda46a288928c64e4eb5d5ecf36be09eaabac69a8af234dbe8c6658846e5",
+    8: "2b3eadbf4031cd16cb4a884eef138ca69fd825df35fd3cad486de659ed6bcfa7",
+}
+
+
+@pytest.mark.parametrize("m", sorted(LOOP_RICH_DIGESTS))
+def test_loop_rich_program_json_bytes_are_pinned(m):
+    cfg = loop_rich(1)
+    prog = obfuscate(cfg, m, seed=3)
+    text = program_to_json(prog)
+    assert hashlib.sha256(text.encode()).hexdigest() == LOOP_RICH_DIGESTS[m]
+    succs = ir.successor_map(cfg)
+    pre_entry = succs + [{cfg.entry}]
+    for tcfg in prog.threads:
+        owned = tcfg.owned_blocks
+        want = oracle_first_inset_reachable(cfg.n, owned, cfg, pre_entry)
+        assert tcfg.entry_wait.flags == tuple(sorted(want)), m
+        for b in sorted(owned)[::25]:
+            want = oracle_first_inset_reachable(b, owned, cfg, succs)
+            assert tcfg.per_block_wait[b].flags == tuple(sorted(want)), (m, b)
+
+
 def test_program_json_has_documented_fields():
     doc = json.loads(program_to_json(obfuscate(prime_cfg(), 2, seed=1)))
     assert doc["version"] == 2
@@ -338,6 +367,41 @@ def test_program_json_refuses_an_edited_thread_after_building_it(monkeypatch):
     with pytest.raises(ValueError, match="thread 0 in program file does not match"):
         program_from_json(json.dumps(doc), cfg)
     assert built == [0]
+
+
+def _id_lists(thread, field):
+    """The lists of block ids that a stored thread holds under `field`."""
+    return list(thread[field].values()) if field == "per_block_wait" else [thread[field]]
+
+
+@pytest.mark.parametrize("field", ["owned", "entry_wait", "per_block_wait"])
+@pytest.mark.parametrize("retype", [float, bool])
+def test_program_json_refuses_retyped_block_ids(field, retype):
+    # 1.0 == 1 and True == 1 in Python, so only the type tells them apart.
+    cfg = parse(kernel_text("evens"))
+    doc = json.loads(program_to_json(obfuscate(cfg, 2, seed=0)))
+    ids = next(ids for thread in doc["threads"] for ids in _id_lists(thread, field)
+               if 0 in ids or 1 in ids)
+    at = next(i for i, b in enumerate(ids) if b in (0, 1))
+    ids[at] = retype(ids[at])
+    with pytest.raises(ValueError, match="does not match"):
+        program_from_json(json.dumps(doc), cfg)
+
+
+@pytest.mark.parametrize("field", ["owned", "entry_wait", "per_block_wait"])
+def test_program_json_refuses_a_float_block_id_in_every_thread(field):
+    cfg = prime_cfg()
+    text = program_to_json(obfuscate(cfg, 4, seed=1))
+    owning_neither = 0
+    for t in range(4):
+        doc = json.loads(text)
+        thread = doc["threads"][t]
+        ids = next(ids for ids in _id_lists(thread, field) if ids)
+        ids[-1] = float(ids[-1])
+        with pytest.raises(ValueError, match=f"thread {t} in program file does not match"):
+            program_from_json(json.dumps(doc), cfg)
+        owning_neither += not {0, 1} & set(thread["owned"])
+    assert owning_neither >= 2
 
 
 def test_program_json_rejects_unknown_version():

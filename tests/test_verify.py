@@ -34,7 +34,7 @@ def test_oracle_matches_walk_on_canonical_shapes():
         want = oracle_first_inset_reachable(bcur, bbset, cfg)
         succs = ir.successor_map(cfg)
         got = wait_set_query(succs, frozenset(bbset))(succs[bcur])
-        assert got == want
+        assert got == tuple(sorted(want))
 
 
 def test_oracle_single_block_graph():
@@ -42,7 +42,7 @@ def test_oracle_single_block_graph():
     succs = ir.successor_map(cfg)
     for bbset in (set(), {0}):
         assert oracle_first_inset_reachable(0, bbset, cfg) == set()
-        assert wait_set_query(succs, frozenset(bbset))(succs[0]) == set()
+        assert wait_set_query(succs, frozenset(bbset))(succs[0]) == ()
 
 
 def test_exhaustive_chains_with_contiguous_subsets():
@@ -59,7 +59,7 @@ def test_exhaustive_chains_with_contiguous_subsets():
                     later = {b for b in subset if b > bcur}
                     want = {min(later)} if later else set()
                     assert oracle_first_inset_reachable(bcur, subset, cfg, succs) == want
-                    assert first_in_subset(succs[bcur]) == want
+                    assert first_in_subset(succs[bcur]) == tuple(want)
 
 
 def test_random_cfg_always_valid():
@@ -203,7 +203,7 @@ def test_build_thread_cfg_wait_sets_match_oracle():
         cfg = random_cfg(r)
         succs = ir.successor_map(cfg)
         pre_entry = succs + [{cfg.entry}]
-        for m in range(1, 5):
+        for m in (1, 2, 3, 4, 8):
             for pseed in range(5):
                 part = partition_blocks(cfg, m, pseed)
                 for t in range(m):
