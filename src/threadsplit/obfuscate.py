@@ -124,12 +124,14 @@ def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:
 # The positions of the set bits of each byte value, ascending.
 _BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
 # Up to this many set bits, a reach is read one highest bit at a time;
-# above it, byte by byte through `_BYTE_BITS`.
+# above it, byte by byte through `_BYTE_BITS`. The two cost the same at
+# 8 bits on the wait sets of 2000-block programs at m = 2, 4 and 8.
 _FEW_BITS = 8
 
 
 def _decode(bits: int, owned: list[int]) -> tuple[int, ...]:
-    """The blocks `owned[i]` for each bit i set in `bits`, ascending."""
+    """The blocks `owned[i]` for each bit i set in the non-zero `bits`,
+    ascending."""
     found = []
     if bits.bit_count() <= _FEW_BITS:
         # bit_length is O(1), and dropping the top bit shrinks the int.
@@ -151,16 +153,15 @@ def _decode(bits: int, owned: list[int]) -> tuple[int, ...]:
     return tuple(found)
 
 
-def wait_set_query(succs, bbset) -> Callable[[Iterable[int]], tuple[int, ...]]:
-    """One pass over the blocks outside `bbset`, the thread's owned
-    block ids (see the module docstring). Returns a query mapping the
-    successors of a block, or the targets of any virtual node, to the
-    blocks of `bbset` reached first from it, ascending: a target in
-    `bbset` is itself, any other target contributes its reach. Equal
+def wait_set_query(succs, owned: list[int]) -> Callable[[Iterable[int]], tuple[int, ...]]:
+    """One pass over the blocks outside `owned`, the thread's block ids
+    in ascending order (see the module docstring). Returns a query
+    mapping the successors of a block, or the targets of any virtual
+    node, to the owned blocks reached first from it, ascending: an owned
+    target is itself, any other target contributes its reach. Equal
     answers are one shared tuple. `succs` is indexed by block id, as
     from ir.successor_map."""
     n = len(succs)
-    owned = sorted(bbset)
     num = [0] * n  # DFS discovery number; 0 while unvisited
     low = [0] * n
     reach = [0] * n  # bit i stands for owned[i]
@@ -311,13 +312,8 @@ def _stored_matches(stored, tcfg: ThreadCfg) -> bool:
     for b, ws in per_block.items():
         if waits.get(str(b)) != list(ws.flags):
             return False
-    # A float or a bool that equals a block id passes the comparisons
-    # above. A bool can only stand for block 0 or 1, so for a thread that
-    # owns neither, it is enough that a float would make the sum a float.
-    values = chain(owned, entry, *waits.values())
-    if tcfg.owned_blocks.isdisjoint((0, 1)):
-        return type(sum(values)) is int
-    return _INT.issuperset(map(type, values))
+    # A float or a bool that equals a block id passes the comparisons above.
+    return _INT.issuperset(map(type, chain(owned, entry, *waits.values())))
 
 
 def program_to_json(prog: ObfuscatedProgram) -> str:

@@ -192,8 +192,9 @@ def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> A
         n = cfg.n
         for _ in range(_SUBSETS_PER_CFG):
             mask = r.below(1 << n)
-            subset = frozenset(b for b in range(n) if mask >> b & 1)
-            first_in_subset = wait_set_query(succs, subset)
+            owned = [b for b in range(n) if mask >> b & 1]
+            subset = frozenset(owned)
+            first_in_subset = wait_set_query(succs, owned)
             for bcur in range(n):
                 got = first_in_subset(succs[bcur])
                 want = tuple(sorted(oracle_first_inset_reachable(bcur, subset, cfg, succs)))
@@ -202,7 +203,7 @@ def check_algorithm1(trials: int = 1000, max_n: int = 12, seed: int = 2024) -> A
                     mismatches.append({
                         "edges": [sorted(s) for s in succs],
                         "bcur": bcur,
-                        "subset": sorted(subset),
+                        "subset": owned,
                         "got": list(got),
                         "want": list(want),
                     })

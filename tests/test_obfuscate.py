@@ -33,12 +33,12 @@ def prime_cfg():
 def walk(bcur, bbset, cfg):
     """The blocks of `bbset` that `bcur`'s successors reach first, ascending."""
     succs = ir.successor_map(cfg)
-    return wait_set_query(succs, frozenset(bbset))(succs[bcur])
+    return wait_set_query(succs, sorted(bbset))(succs[bcur])
 
 
 def entry_wait(bbset, cfg):
     """The same query for a virtual node whose sole successor is the entry."""
-    return wait_set_query(ir.successor_map(cfg), frozenset(bbset))((cfg.entry,))
+    return wait_set_query(ir.successor_map(cfg), sorted(bbset))((cfg.entry,))
 
 
 def test_walk_linear_skips_out_of_set_blocks():

@@ -33,7 +33,7 @@ def test_oracle_matches_walk_on_canonical_shapes():
     for cfg, bcur, bbset in cases:
         want = oracle_first_inset_reachable(bcur, bbset, cfg)
         succs = ir.successor_map(cfg)
-        got = wait_set_query(succs, frozenset(bbset))(succs[bcur])
+        got = wait_set_query(succs, sorted(bbset))(succs[bcur])
         assert got == tuple(sorted(want))
 
 
@@ -42,7 +42,7 @@ def test_oracle_single_block_graph():
     succs = ir.successor_map(cfg)
     for bbset in (set(), {0}):
         assert oracle_first_inset_reachable(0, bbset, cfg) == set()
-        assert wait_set_query(succs, frozenset(bbset))(succs[0]) == ()
+        assert wait_set_query(succs, sorted(bbset))(succs[0]) == ()
 
 
 def test_exhaustive_chains_with_contiguous_subsets():
@@ -54,7 +54,7 @@ def test_exhaustive_chains_with_contiguous_subsets():
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
                 subset = frozenset(range(lo, hi))
-                first_in_subset = wait_set_query(succs, subset)
+                first_in_subset = wait_set_query(succs, sorted(subset))
                 for bcur in range(n):
                     later = {b for b in subset if b > bcur}
                     want = {min(later)} if later else set()
