@@ -29,6 +29,8 @@ terminates, and the trace reports status "trapped". Both obfuscated
 modes drive this one handoff step (`_Guards`), which also checks the
 at-most-one-raised-flag invariant: a handoff that still finds a data
 flag up once it has cleared its own counts in `flag_violations`.
+The step has no fault hooks: the test suite breaks the protocol from
+outside, through the flag array, the cfg and the wait lists it is given.
 
 One stop rule holds in every mode: the budget counts executed blocks,
 and a run that executes that many without halting ends with status
@@ -48,7 +50,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 
 from . import ir, rng
 from .ir import INT_MAX, INT_MIN, BinOp, Branch, Cfg, ConstAssign, Jump
@@ -69,16 +70,6 @@ DEFAULT_STEP_BUDGET = 10_000_000
 
 ROUND_ROBIN = "round-robin"
 RANDOM = "random"
-
-
-class Mutation(Enum):
-    """Deliberate protocol faults, injectable in scheduled mode so the
-    verifier can prove it detects broken handoffs."""
-
-    NONE = "none"
-    SKIP_CLEAR = "skip-clear"
-    SKIP_RAISE = "skip-raise"
-    WRONG_SUCCESSOR = "wrong-successor"
 
 
 @dataclass
@@ -193,17 +184,14 @@ def run_sequential(cfg: Cfg, inputs: dict[str, int] | None = None,
 
 
 def run_obfuscated(prog: ObfuscatedProgram, inputs: dict[str, int] | None = None,
-                   sched: Schedule | None = None, concurrent: bool = False,
-                   mutation: Mutation = Mutation.NONE) -> ExecutionTrace:
+                   sched: Schedule | None = None, concurrent: bool = False) -> ExecutionTrace:
     """Execute an obfuscated program; see the module docstring for the
     protocol. Scheduled mode is fully deterministic given `sched`."""
     if sched is None:
         sched = Schedule()
     if concurrent:
-        if mutation is not Mutation.NONE:
-            raise ValueError("fault injection is only supported in scheduled mode")
         return _run_concurrent(prog, inputs, sched.step_budget)
-    return _run_scheduled(prog, inputs, sched, mutation)
+    return _run_scheduled(prog, inputs, sched)
 
 
 class _Guards:
@@ -212,10 +200,11 @@ class _Guards:
     trace, and `handoff`, the protocol step both engines drive. The
     entry and each handoff that raises a flag check that some worker can
     still advance, and stop the run as "no-flag" if none can (see the
-    module docstring). `mutation` bends the step for fault injection."""
+    module docstring). The flags come from a global-name lookup of
+    `bytearray`, so a test can set `runtime.bytearray` to a subclass that
+    sees every clear and raise."""
 
-    def __init__(self, prog: ObfuscatedProgram, inputs, budget: int,
-                 mutation: Mutation = Mutation.NONE):
+    def __init__(self, prog: ObfuscatedProgram, inputs, budget: int):
         n = prog.source.n
         self.flags = flags = bytearray(n + 1)
         self.done = done = n
@@ -225,9 +214,6 @@ class _Guards:
         records, output = trace.records, trace.output
         blocks, store = prog.source.blocks, dict(inputs or {})
         owner = prog.partition.assign
-        clear = mutation is not Mutation.SKIP_CLEAR
-        raise_next = mutation is not Mutation.SKIP_RAISE
-        wrong_successor = mutation is Mutation.WRONG_SUCCESSOR
         raised = 1  # data flags up
 
         def stop(reason: str) -> None:
@@ -249,9 +235,8 @@ class _Guards:
             if len(records) == budget:
                 stop(BUDGET)
                 return -1
-            if clear:
-                flags[b] = 0
-                raised -= 1
+            flags[b] = 0
+            raised -= 1
             if raised:
                 # Counted while no other worker can be changing the count.
                 trace.flag_violations += 1
@@ -266,14 +251,12 @@ class _Guards:
             if nxt is None:
                 stop(COMPLETED)
                 return done
-            if wrong_successor:
-                nxt = (nxt + 1) % len(blocks)
-            if raise_next and not flags[nxt]:
+            if not flags[nxt]:
                 raised += 1  # before the flag goes up, as above
                 flags[nxt] = 1
             # The owner of `nxt` waits on it after every correct handoff, so
-            # only a fault or a broken wait list gets to the scan. With DONE
-            # up, every worker exits once it finds no waited flag anyway.
+            # only a lost write or a broken wait list gets to the scan. With
+            # DONE up, every worker exits once it finds no waited flag anyway.
             if (flags[nxt] and nxt in waits[owner[nxt]]) or flags[done] or any_waited():
                 return nxt
             stop(NO_FLAG)
@@ -289,8 +272,8 @@ class _Guards:
             stop(NO_FLAG)
 
 
-def _run_scheduled(prog, inputs, sched: Schedule, mutation: Mutation) -> ExecutionTrace:
-    core = _Guards(prog, inputs, sched.step_budget, mutation)
+def _run_scheduled(prog, inputs, sched: Schedule) -> ExecutionTrace:
+    core = _Guards(prog, inputs, sched.step_budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
     live = list(range(prog.m))
     chooser = rng.Rng(sched.seed) if sched.mode == RANDOM else None

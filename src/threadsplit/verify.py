@@ -2,16 +2,13 @@
 
 `run_sequential` on the original cfg is the oracle. Every obfuscated
 configuration in a sweep (m values x partition seeds x schedules) must
-reproduce its output and dynamic block sequence exactly, with zero
-mutual-exclusion violations and a structurally valid partition.
+reproduce its output and dynamic block sequence exactly, run each block
+on the worker that owns it, with zero mutual-exclusion violations and a
+structurally valid partition.
 
 The wait-set computation gets its own independent oracle here: a plain
 node-at-a-time BFS (`oracle_first_inset_reachable`) that shares no code
 with the Tarjan pass it checks.
-
-`check_mutations` proves the harness actually detects broken handoff
-protocols by injecting the three supported faults and requiring every
-one to surface as a violation, a divergence, or a deadlock.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from .runtime import (
     RANDOM,
     ROUND_ROBIN,
     ExecutionTrace,
-    Mutation,
     Schedule,
     run_obfuscated,
     run_sequential,
@@ -217,15 +213,22 @@ def _first_divergence(got: list[int], want: list[int]) -> str:
     return f"length {len(got)}, expected {len(want)}"
 
 
-def _differences(trace: ExecutionTrace, ref: ExecutionTrace, ref_blocks: list[int]) -> list[str]:
-    """How a run of an obfuscated program differs from the reference run
-    `ref`, whose block sequence is `ref_blocks`: status, then flag
-    violations, then output, then block sequence. Empty when it does not."""
+def _differences(trace: ExecutionTrace, ref: ExecutionTrace, ref_blocks: list[int],
+                 owner: list[int]) -> list[str]:
+    """How a run of an obfuscated program whose partition is `owner`
+    differs from the reference run `ref`, whose block sequence is
+    `ref_blocks`: status, then flag violations, then the first record run
+    off its block's owner, then output, then block sequence. Empty when
+    it does not."""
     found = []
     if trace.status != ref.status:
         found.append(f"status {trace.status}, expected {ref.status}")
     if trace.flag_violations:
         found.append(f"{trace.flag_violations} mutual-exclusion violations")
+    for step, w, b in trace.records:
+        if w != owner[b]:
+            found.append(f"step {step}: worker {w} ran block {b}, owned by worker {owner[b]}")
+            break
     if trace.output != ref.output:
         found.append("output differs: " + _first_divergence(trace.output, ref.output))
     blocks = trace.block_sequence()
@@ -266,26 +269,11 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
             for sched in schedules:
                 label = sched.mode if sched.mode == ROUND_ROBIN else f"{sched.mode}:{sched.seed}"
                 trace = run_obfuscated(prog, inputs, sched=sched)
-                found = _differences(trace, ref, ref_blocks)
+                found = _differences(trace, ref, ref_blocks, prog.partition.assign)
                 results.append(CaseResult(name, m, pseed, label, not found,
                                           found[0] if found else "",
                                           trace.status, trace.flag_violations))
     return VerifyReport(cases=results)
-
-
-def check_mutations(cfg: Cfg, m: int = 3, seed: int = 7) -> dict[str, dict]:
-    """Inject each protocol fault into a scheduled run and report how it
-    was detected. As in `check_equivalence`, a run may execute only as
-    many blocks as the reference did."""
-    ref = run_sequential(cfg)
-    ref_blocks = ref.block_sequence()
-    prog = obfuscate(cfg, m, seed)
-    sched = Schedule(step_budget=len(ref_blocks))
-    report: dict[str, dict] = {}
-    for mut in (Mutation.SKIP_CLEAR, Mutation.SKIP_RAISE, Mutation.WRONG_SUCCESSOR):
-        signals = _differences(run_obfuscated(prog, sched=sched, mutation=mut), ref, ref_blocks)
-        report[mut.value] = {"detected": bool(signals), "signals": signals}
-    return report
 
 
 def verify_files(named_cfgs: list[tuple[str, Cfg]], config: VerifyConfig | None = None,

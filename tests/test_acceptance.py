@@ -12,6 +12,7 @@ import time
 import pytest
 
 from dotcheck import parse_dot
+from faults import check_faults
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import count_combinations, obfuscate
 from threadsplit.runtime import run_obfuscated, run_sequential
@@ -19,7 +20,6 @@ from threadsplit.textfmt import emit_dot_cfg, emit_dot_thread, format_cfg, parse
 from threadsplit.verify import (
     VerifyConfig,
     check_algorithm1,
-    check_mutations,
     verify_files,
 )
 
@@ -98,7 +98,7 @@ def test_termination_and_mutation_detection(sweep, corpus):
     report, _ = sweep
     runs = [c for c in report.cases if c.schedule != "structure"]
     stuck = [c for c in runs if c.status != "completed"]
-    mutations = check_mutations(dict(corpus)["prime"], m=3, seed=7)
+    mutations = check_faults(dict(corpus)["prime"], m=3, seed=7)
     undetected = [name for name, r in mutations.items() if not r["detected"]]
     ok = not stuck and not undetected
     _report(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faults
 from helpers import chain, reference_binop, run_child
 from threadsplit import rng, runtime
 from threadsplit.ir import BINARY_OPS, INT_MAX, INT_MIN, BasicBlock, BinOp, Cfg, Halt, Print
@@ -23,7 +24,6 @@ from threadsplit.runtime import (
     ROUND_ROBIN,
     TRAP,
     TRAPPED,
-    Mutation,
     ObfuscatedProgram,
     Schedule,
     Trap,
@@ -366,13 +366,14 @@ def test_scheduled_records_are_pinned():
 
 
 # sha256 of the JSON of (records, output, reason, flag_violations) of each
-# mutated scheduled run of a bundled kernel at partition seed 0, allowed as
-# many blocks as the reference runs, as in `verify.check_mutations`.
+# scheduled run of a bundled kernel at partition seed 0 with a handoff
+# fault of `faults` applied, allowed as many blocks as the reference runs,
+# as in `faults.check_faults`.
 MUTATION_DIGESTS = {
     ("evens", 2, "skip-clear", "round-robin"):
-        "6f8e214b0726d07bdd7066cb55f1e2cc4f251e467adef333177d76c3e0cfd6b0",
+        "53a96654232d41aaef086cdce092034c7f9a9425c4b4bbe084a043c2e6bf34a3",
     ("evens", 2, "skip-clear", "random:0"):
-        "3b97856242044da0e7a7a5c8dc1cef3d94e78b90e3597a8c6a900632fc0ad63e",
+        "fcb57fbc1f81c00b2f1f369441a5bf8f0977007699e567e2d4a2c1b83410b4ca",
     ("evens", 2, "skip-raise", "round-robin"):
         "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
     ("evens", 2, "skip-raise", "random:0"):
@@ -382,9 +383,9 @@ MUTATION_DIGESTS = {
     ("evens", 2, "wrong-successor", "random:0"):
         "9eab66e1bfcfd53f2dad2fd05009fe8b93e7780de2f199cf438966285a025944",
     ("evens", 3, "skip-clear", "round-robin"):
-        "cb33a97f689a7dd54e4b32e14f5de3e668f61c62e44c476d76cc5d5ec71d1da5",
+        "e34cd93f835b094f41c2b01b9365d967bd9c04d4aa2f10c3ee733a36c03862b4",
     ("evens", 3, "skip-clear", "random:0"):
-        "355432fd72d13fbb8b6e717d5849b295825bffff4da3a235e666a292f7ea118a",
+        "95c2c1f128cfee57466d5fe79378f0dc7fd476c0ae3237e619c0f0cc26380818",
     ("evens", 3, "skip-raise", "round-robin"):
         "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
     ("evens", 3, "skip-raise", "random:0"):
@@ -394,9 +395,9 @@ MUTATION_DIGESTS = {
     ("evens", 3, "wrong-successor", "random:0"):
         "37fd9c3c971043c3fd00de73d98519215e5958221598a1a1da08d8713585377a",
     ("fib", 2, "skip-clear", "round-robin"):
-        "4334b59747640b2b916e4aa8331a48f3a49b137d787aae157c280080ab4951e3",
+        "64d5ce6ece44644e1ef969f4d59e9937b7f2841c87a212adf0015709aecb0ff0",
     ("fib", 2, "skip-clear", "random:0"):
-        "a15858d6bc9caaedb4ae8259f953f0074e57d0ca18ce3bf05073ac9525792116",
+        "52ceaad41c48fbf6b2381109922277c714dd7028ba61b0b555bdc4230037f06c",
     ("fib", 2, "skip-raise", "round-robin"):
         "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
     ("fib", 2, "skip-raise", "random:0"):
@@ -406,9 +407,9 @@ MUTATION_DIGESTS = {
     ("fib", 2, "wrong-successor", "random:0"):
         "2840a5d899d6e6806ae416c725db6637895c4c2eb9791bce9467a1e4f30e3cf5",
     ("fib", 3, "skip-clear", "round-robin"):
-        "791da41f7cee02ee5ac37e98854241c9251995e84964c7743997dd155a20465a",
+        "02a2c0c5ad6742899e9aaa3ace47dea26e3d197261e19c46db44803017345b41",
     ("fib", 3, "skip-clear", "random:0"):
-        "3f7f25823dad4cade6526fd0a2208ce2fa1916129de12c6a0f3b203d11213cc3",
+        "3f6d21029a7d0c8b427f1b2e4d6cfc6ccd638b8fe9e08bd7e142aa9f4f029d75",
     ("fib", 3, "skip-raise", "round-robin"):
         "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
     ("fib", 3, "skip-raise", "random:0"):
@@ -418,9 +419,9 @@ MUTATION_DIGESTS = {
     ("fib", 3, "wrong-successor", "random:0"):
         "6d989ba79d9efb35d2b5fa6ce0e8e50ab3059684e19ae1b7f75d8ec3e21e88db",
     ("prime", 2, "skip-clear", "round-robin"):
-        "cc1681ceba1c896d68876f329ac876a0d2ed6abc823b8e8ba7978beebca4eed1",
+        "199fbf613d819c578aaf99d2933f918410dbf218e6a52676c8244ef66e31c243",
     ("prime", 2, "skip-clear", "random:0"):
-        "4fa5421671c4ce55638f24d8ebc531a1490c6451eb855df64e464a63c075f798",
+        "72d4f18edeccd7833d66bf4d28ce3e32839815ddbc0a684efd7f63be26e72e46",
     ("prime", 2, "skip-raise", "round-robin"):
         "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
     ("prime", 2, "skip-raise", "random:0"):
@@ -430,9 +431,9 @@ MUTATION_DIGESTS = {
     ("prime", 2, "wrong-successor", "random:0"):
         "23adaffaeeba2b226453044d46424faedac84bfb1eee93c9cbb5006f431d756c",
     ("prime", 3, "skip-clear", "round-robin"):
-        "876f8d7e8250ad1ef2e86e52ac7b19b8072026c7c87ef7b2f6838724a129e443",
+        "b39350c29005b22f2c1154445e7810bf767ce85e0dc1b6284b37c02442cb76d8",
     ("prime", 3, "skip-clear", "random:0"):
-        "a09c2ac04a45adf7d8fa9978da855ee15973e0fff3c7328823e0500fffc84092",
+        "7d0dac87ff4cb3c4d133a53592c6aa0da0586c9aca40dcc66d1eff4682717c95",
     ("prime", 3, "skip-raise", "round-robin"):
         "3429ba8681002355dbcdb358d54206e14d4af63a28c4d19cc275bcd8a93722aa",
     ("prime", 3, "skip-raise", "random:0"):
@@ -450,16 +451,15 @@ def test_mutated_runs_are_pinned():
         budget = len(run_sequential(cfg).records)
         for m in (2, 3):
             prog = obfuscate(cfg, m, 0)
-            for mutation in (Mutation.SKIP_CLEAR, Mutation.SKIP_RAISE, Mutation.WRONG_SUCCESSOR):
+            for fault in faults.HANDOFF_FAULTS:
                 for label in ("round-robin", "random:0"):
                     mode, _, seed = label.partition(":")
-                    trace = run_obfuscated(prog, sched=Schedule(mode, int(seed or 0), budget),
-                                           mutation=mutation)
+                    trace = faults.run_with_fault(
+                        prog, fault, sched=Schedule(mode, int(seed or 0), budget))
                     got = hashlib.sha256(json.dumps(
                         [trace.records, trace.output, trace.reason, trace.flag_violations]
                     ).encode()).hexdigest()
-                    assert got == MUTATION_DIGESTS[name, m, mutation.value, label], (
-                        name, m, mutation, label)
+                    assert got == MUTATION_DIGESTS[name, m, fault, label], (name, m, fault, label)
 
 
 def test_random_schedule_deterministic_per_seed():
@@ -923,45 +923,69 @@ def test_concurrent_raise_during_owners_vain_poll_is_not_idle():
     assert (proc.stdout, proc.stderr) == ("", "")
 
 
-def test_concurrent_rejects_mutations():
-    prog = obfuscate(kernel("fib"), 2, seed=0)
-    with pytest.raises(ValueError):
-        run_obfuscated(prog, concurrent=True, mutation=Mutation.SKIP_RAISE)
-
-
-def mutated_prime_run(mutation: Mutation):
-    """Prime at m=3 with `mutation` injected, allowed as many blocks as
-    the reference run executes, as in `verify.check_mutations`."""
+def mutated_prime_run(fault: str):
+    """Prime at m=3 with `fault` applied, allowed as many blocks as the
+    reference run executes, as in `faults.check_faults`."""
     cfg = kernel("prime")
     ref = run_sequential(cfg)
     prog = obfuscate(cfg, 3, seed=7)
     sched = Schedule(step_budget=len(ref.records))
-    return ref, run_obfuscated(prog, sched=sched, mutation=mutation)
+    return ref, faults.run_with_fault(prog, fault, sched=sched)
 
 
 def test_mutation_skip_raise_deadlocks():
-    _, trace = mutated_prime_run(Mutation.SKIP_RAISE)
+    _, trace = mutated_prime_run(faults.SKIP_RAISE)
     assert trace.status == DEADLOCK
 
 
 def test_mutation_skip_clear_violates_mutual_exclusion():
-    _, trace = mutated_prime_run(Mutation.SKIP_CLEAR)
+    _, trace = mutated_prime_run(faults.SKIP_CLEAR)
     assert trace.flag_violations > 0
 
 
 def test_mutation_wrong_successor_detected():
-    ref, trace = mutated_prime_run(Mutation.WRONG_SUCCESSOR)
+    ref, trace = mutated_prime_run(faults.WRONG_SUCCESSOR)
     diverged = (trace.status != ref.status or trace.output != ref.output
                 or trace.block_sequence() != ref.block_sequence())
     assert diverged
 
 
 def test_mutation_runs_show_in_trace_json():
-    _, stuck = mutated_prime_run(Mutation.SKIP_RAISE)
+    _, stuck = mutated_prime_run(faults.SKIP_RAISE)
     doc = json.loads(trace_to_json(stuck))
     assert (doc["status"], doc["reason"]) == (DEADLOCK, NO_FLAG)
-    _, doubled = mutated_prime_run(Mutation.SKIP_CLEAR)
+    _, doubled = mutated_prime_run(faults.SKIP_CLEAR)
     assert json.loads(trace_to_json(doubled))["flag_violations"] > 0
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("fault", [faults.SKIP_RAISE, faults.WRONG_SUCCESSOR])
+def test_concurrent_fault_run_matches_round_robin(name, m, fault):
+    # With one flag up at a time, which block runs next does not depend on
+    # the schedule, so `conc` stops where and why round-robin `sched` does.
+    # Under skip-clear more than one flag is up, and the run depends on it.
+    cfg = kernel(name)
+    prog = obfuscate(cfg, m, 0)
+    sched = Schedule(step_budget=len(run_sequential(cfg).records))
+    want = faults.run_with_fault(prog, fault, sched=sched)
+    got = faults.run_with_fault(prog, fault, sched=sched, concurrent=True)
+    assert [r[1:] for r in got.records] == [r[1:] for r in want.records]
+    assert (got.output, got.reason) == (want.output, want.reason)
+
+
+def test_guard_flags_shim_sees_every_write():
+    # The fault tests are vacuous unless `_Guards` builds its flags from
+    # `runtime.bytearray`: with no fault, the shim must leave each run as
+    # pinned and count one clear per executed block.
+    for (name, m, label), digest in SCHEDULE_DIGESTS.items():
+        mode, _, seed = label.partition(":")
+        with faults.guard_flags() as shim:
+            trace = run_obfuscated(obfuscate(kernel(name), m, 0),
+                                   sched=Schedule(mode, int(seed or 0)))
+        assert hashlib.sha256(json.dumps(trace.records).encode()).hexdigest() == digest
+        assert len(shim.made) == 1, "the run did not build its flags from runtime.bytearray"
+        assert shim.made[0].clears == len(trace.records), (name, m, label)
 
 
 @pytest.mark.parametrize("mode", ["seq", "sched", "conc"])

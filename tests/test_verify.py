@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+import faults
 from helpers import chain, diamond, two_loop
 from threadsplit import ir, rng, verify
-from threadsplit.kernels import kernel_text
-from threadsplit.obfuscate import build_thread_cfg, partition_blocks, wait_set_query
+from threadsplit.kernels import KERNELS, kernel_text
+from threadsplit.obfuscate import build_thread_cfg, obfuscate, partition_blocks, wait_set_query
 from threadsplit.runtime import COMPLETED, run_sequential
 from threadsplit.textfmt import parse
 from threadsplit.verify import (
@@ -15,7 +16,6 @@ from threadsplit.verify import (
     VerifyReport,
     check_algorithm1,
     check_equivalence,
-    check_mutations,
     oracle_first_inset_reachable,
     random_cfg,
     verify_files,
@@ -144,13 +144,45 @@ def test_check_equivalence_rejects_invalid_cfg_before_running(cfg, monkeypatch):
         check_equivalence(cfg)
 
 
-def test_check_mutations_all_detected_on_prime():
+def test_check_faults_all_detected_on_prime():
     cfg = parse(kernel_text("prime"))
-    report = check_mutations(cfg, m=3, seed=7)
-    assert set(report) == {"skip-clear", "skip-raise", "wrong-successor"}
+    report = faults.check_faults(cfg, m=3, seed=7)
+    assert set(report) == set(faults.HANDOFF_FAULTS)
     for result in report.values():
         assert result["detected"]
         assert result["signals"]
+
+
+@pytest.mark.parametrize("name", KERNELS)
+@pytest.mark.parametrize("m", [2, 3])
+def test_handoff_faults_detected_on_every_kernel(name, m):
+    report = faults.check_faults(parse(kernel_text(name)), m, seed=0)
+    assert [f for f, r in report.items() if not r["detected"]] == []
+
+
+def test_block_run_off_its_owner_fails_equivalence(monkeypatch):
+    # On fib at m=2, seed 3, worker 1 owns every block and worker 0 then
+    # waits on block 0 at entry. Where worker 0 takes it first, it adopts
+    # the wait lists that follow and runs the whole program, with the
+    # status, output and block sequence all right.
+    def obfuscate_with_foreign_block(cfg, m, seed):
+        return faults.with_fault(obfuscate(cfg, m, seed), faults.FOREIGN_BLOCK)
+
+    monkeypatch.setattr(verify, "obfuscate", obfuscate_with_foreign_block)
+    config = VerifyConfig(m_values=(2,), partition_seeds=4, schedule_seeds=3)
+    report = check_equivalence(parse(kernel_text("fib")), config)
+    failed = {c.schedule: c for c in report.cases if c.partition_seed == 3 and not c.ok}
+    assert sorted(failed) == ["random:2", "round-robin"]
+    for case in failed.values():
+        assert (case.status, case.flag_violations) == (COMPLETED, 0)
+        assert case.detail == "step 0: worker 0 ran block 0, owned by worker 1"
+
+
+def test_dropped_wait_list_member_is_detected():
+    # On prime at m=3, seed 7, the run takes the dropped path.
+    dropped = faults.DROPPED_MEMBER
+    report = faults.check_faults(parse(kernel_text("prime")), 3, 7, [dropped])
+    assert report[dropped]["signals"][0] == "status deadlock, expected completed"
 
 
 def test_verify_files_with_oracle_trials():
