@@ -241,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="differential verification sweep")
     p.add_argument("inputs", nargs="+", help="source .cfg files")
-    p.add_argument("--m-values", default="1,2,3,4")
-    p.add_argument("--partition-seeds", type=int, default=25)
-    p.add_argument("--schedule-seeds", type=int, default=10)
+    p.add_argument("--m-values", default=",".join(map(str, VerifyConfig.m_values)))
+    p.add_argument("--partition-seeds", type=int, default=VerifyConfig.partition_seeds)
+    p.add_argument("--schedule-seeds", type=int, default=VerifyConfig.schedule_seeds)
     p.add_argument("--alg1-trials", type=int, default=100,
                    help="wait-set oracle trials to run alongside the sweep "
                         "(default 100; 0 skips them)")

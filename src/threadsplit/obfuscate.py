@@ -41,7 +41,7 @@ from itertools import chain
 from . import ir, rng
 from .ir import Cfg
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -288,32 +288,32 @@ def check_bijection(prog: ObfuscatedProgram) -> list[str]:
 
 def _thread_doc(tcfg: ThreadCfg) -> dict:
     return {
-        "owned": sorted(tcfg.owned_blocks),
         "entry_wait": tcfg.entry_wait.flags,
         "per_block_wait": {str(b): ws.flags for b, ws in sorted(tcfg.per_block_wait.items())},
     }
 
 
-_THREAD_KEYS = {"owned", "entry_wait", "per_block_wait"}
+_THREAD_KEYS = {"entry_wait", "per_block_wait"}
 _INT = frozenset({int})
 
 
 def _stored_matches(stored, tcfg: ThreadCfg) -> bool:
     """Whether a thread read from a program file is `_thread_doc(tcfg)`:
     the same keys, and lists of the same values, all of them ints (a
-    float or a bool that compares equal to one is refused)."""
+    float or a bool that compares equal to one is refused). So the keys of
+    `per_block_wait` are exactly the blocks the assignment gives the thread."""
     if not isinstance(stored, dict) or stored.keys() != _THREAD_KEYS:
         return False
-    owned, entry, waits = stored["owned"], stored["entry_wait"], stored["per_block_wait"]
+    entry, waits = stored["entry_wait"], stored["per_block_wait"]
     per_block = tcfg.per_block_wait
-    if (owned != sorted(tcfg.owned_blocks) or entry != list(tcfg.entry_wait.flags)
+    if (entry != list(tcfg.entry_wait.flags)
             or not isinstance(waits, dict) or len(waits) != len(per_block)):
         return False
     for b, ws in per_block.items():
         if waits.get(str(b)) != list(ws.flags):
             return False
     # A float or a bool that equals a block id passes the comparisons above.
-    return _INT.issuperset(map(type, chain(owned, entry, *waits.values())))
+    return _INT.issuperset(map(type, chain(entry, *waits.values())))
 
 
 def program_to_json(prog: ObfuscatedProgram) -> str:
@@ -322,7 +322,6 @@ def program_to_json(prog: ObfuscatedProgram) -> str:
         "version": FORMAT_VERSION,
         "source_name": prog.source.name,
         "m": prog.partition.m,
-        "n": prog.source.n,
         "seed": prog.partition.seed,
         "prng": rng.ALGORITHM,
         "assign": prog.partition.assign,
@@ -350,13 +349,14 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     """Rebuild an ObfuscatedProgram against its source cfg.
 
     Checked in order, any failure raising ValueError: a JSON object;
-    `version` is FORMAT_VERSION; `source_name` and `n` match the cfg; `m`
-    is an int >= 1; `assign` holds one thread in 0..m-1 per block; `seed`
-    is an int; `threads` holds m entries, each equal to its thread rebuilt
-    from the assignment, with every block id an int. The stored assignment
-    is authoritative (it may have been hand-tuned): `seed` and `prng` only
-    record how it was drawn and are not checked against it; `prng` and
-    unknown keys are not read.
+    `version` is FORMAT_VERSION (older files are refused, not read);
+    `source_name` matches the cfg; `m` is an int >= 1; `assign` holds one
+    thread in 0..m-1 per block of the cfg; `seed` is an int; `threads`
+    holds m entries, each equal to its thread rebuilt from the assignment,
+    with every block id an int. The stored assignment is authoritative (it
+    may have been hand-tuned): `seed` and `prng` only record how it was
+    drawn and are not checked against it; `prng` and unknown keys are not
+    read.
     """
     try:
         doc = json.loads(text)
@@ -369,14 +369,13 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     source_name = _field(doc, "source_name", str)
     if source_name != cfg.name:
         raise ValueError(f"program file is for function {source_name!r}, not {cfg.name!r}")
-    n = _field(doc, "n", int)
-    if n != cfg.n:
-        raise ValueError(f"program file expects {n} blocks, cfg has {cfg.n}")
     m = _field(doc, "m", int)
     if m < 1:
         raise ValueError(f"program file has thread count {m}, expected >= 1")
     assign = _field(doc, "assign", list)
-    if len(assign) != cfg.n or not all(_is_a(t, int) and 0 <= t < m for t in assign):
+    if len(assign) != cfg.n:
+        raise ValueError(f"program file assigns {len(assign)} blocks, cfg has {cfg.n}")
+    if not all(_is_a(t, int) and 0 <= t < m for t in assign):
         raise ValueError("malformed block assignment")
     seed = _field(doc, "seed", int)
     stored_threads = _field(doc, "threads", list)

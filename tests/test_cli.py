@@ -15,6 +15,7 @@ from threadsplit.cli import build_parser, main
 from threadsplit.kernels import kernel_text
 from threadsplit.runtime import NO_FLAG, ExecutionTrace
 from threadsplit.textfmt import format_cfg
+from threadsplit.verify import VerifyConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -116,11 +117,11 @@ def test_obfuscate_rejects_m_zero(kernels):
     assert main(["obfuscate", "-i", kernels["evens"], "-m", "0"]) == 2
 
 
-def test_obfuscate_writes_version_2_without_stride(kernels, capsys, tmp_path):
+def test_obfuscate_writes_version_3_without_stride(kernels, capsys, tmp_path):
     out = str(tmp_path / "s.obf")
     assert main(["obfuscate", "-i", kernels["evens"], "-m", "2", "-o", out]) == 0
     doc = json.loads((tmp_path / "s.obf").read_text())
-    assert doc["version"] == 2 and "stride" not in doc
+    assert doc["version"] == 3 and "stride" not in doc
     assert "stride" not in capsys.readouterr().out
 
 
@@ -198,11 +199,41 @@ def test_run_refuses_an_artifact_with_float_block_ids(kernels, capsys, tmp_path)
     obf = tmp_path / "evens.obf"
     main(["obfuscate", "-i", kernels["evens"], "-m", "2", "-o", str(obf)])
     doc = json.loads(obf.read_text())
-    doc["threads"][0]["owned"] = [float(b) for b in doc["threads"][0]["owned"]]
+    waits = doc["threads"][0]["per_block_wait"]
+    for b, flags in waits.items():
+        waits[b] = [float(f) for f in flags]
     obf.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["run", "-i", kernels["evens"], "--obf", str(obf), "--mode", "sched"]) == 2
     assert "does not match" in capsys.readouterr().err
+
+
+# `evens` at m=2, seed 0, as version 2 wrote it: with `n` and each
+# thread's `owned` list.
+EVENS_V2 = (
+    '{"version":2,"source_name":"evens","m":2,"n":6,"seed":0,"prng":"splitmix64",'
+    '"assign":[1,0,1,0,1,0],"threads":[{"owned":[1,3,5],"entry_wait":[1],'
+    '"per_block_wait":{"1":[1,3,5],"3":[1],"5":[]}},{"owned":[0,2,4],"entry_wait":[0],'
+    '"per_block_wait":{"0":[2],"2":[4],"4":[2]}}]}\n'
+)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--mode", "sched"],
+    ["run", "--mode", "conc"],
+    ["dot"],
+])
+def test_a_version_2_artifact_is_refused(command, kernels, capsys, monkeypatch, tmp_path):
+    obf = tmp_path / "evens.obf"
+    obf.write_text(EVENS_V2)
+    opened = []
+    monkeypatch.setattr(runtime.os, "pipe", lambda: opened.append(1))
+    monkeypatch.chdir(tmp_path)  # where `dot` writes
+    assert main([*command, "-i", kernels["evens"], "--obf", str(obf)]) == 2
+    # One line and nothing else: no traceback.
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {obf}: unsupported program file version 2"]
+    assert opened == []
 
 
 def test_run_defines_seed_the_store(capsys, tmp_path):
@@ -470,6 +501,14 @@ def test_dot_m1_writes_two_files(kernels, tmp_path):
 
 def test_bench_is_not_a_command(kernels):
     assert main(["bench", "-i", kernels["fib"]]) == 2
+
+
+def test_verify_defaults_are_verify_configs():
+    args = build_parser().parse_args(["verify", "x.cfg"])
+    config = VerifyConfig()
+    assert tuple(int(m) for m in args.m_values.split(",")) == config.m_values
+    assert (args.partition_seeds, args.schedule_seeds) == (
+        config.partition_seeds, config.schedule_seeds)
 
 
 def test_readme_commands_parse():

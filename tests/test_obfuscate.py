@@ -261,30 +261,30 @@ def test_program_json_round_trip():
 # sha256 of `program_to_json` for each bundled kernel at m=1..4 and
 # partition seeds 0 and 7: the artifact format, byte for byte.
 ARTIFACT_DIGESTS = {
-    ("evens", 1, 0): "512392d5f9360cf17e770dc1de4a312c2b894d20d62104d567b3412d033dfab0",
-    ("evens", 1, 7): "86fd8c1cf37a61ccd59610a11ce74bf441713a4e6c62f7afc28d79082a2f7a5d",
-    ("evens", 2, 0): "b2bed6920c93d803f9e01d4b09aa19e73df5714af2747478c648bb9715161936",
-    ("evens", 2, 7): "b53227523a387959043f12977753212ffa4f1faa6954d2bc5ce0bf0ca0c3fc50",
-    ("evens", 3, 0): "a606a1215cce5c054359b8a0be13162fc4c040ff696a348de387bd86589a708d",
-    ("evens", 3, 7): "64109324d126a24aa5c2d9b1294aa41e7cf2b19c83808b0b6ebef8c19a21ba7b",
-    ("evens", 4, 0): "4432593e77be080c5600e6141ebd4d1b5c7326b2028a99623b5df1cceac5496f",
-    ("evens", 4, 7): "ffc6ec43369b3edf7bc06a4831ff7b497ec39988c252dfe8e2e48d827e9c8f31",
-    ("fib", 1, 0): "f0f49c89b2f55577cc7cd9cf0b89e4d9f255c09c28c34a549fcdb18e7febe392",
-    ("fib", 1, 7): "716ef37df5e99cb872384432082e0aa1f6a83852c3d2f7afcb118e5c2707a830",
-    ("fib", 2, 0): "f4dcba9a3eef66771c5060878e3a79a332e681870013b28e085606cb278f90b8",
-    ("fib", 2, 7): "5f232efef0513b33dde8ef776c3a2f2055bb907d62e09614320759c2ac9545ce",
-    ("fib", 3, 0): "c7c11766e647e8f1e05d9f71e13d7cff57d247aa1d28e8fad5268bf2e9bfc550",
-    ("fib", 3, 7): "cd179d460defcd5f4502975895265fe1add9a4af318010b911dfe5e50ae7cf4d",
-    ("fib", 4, 0): "bd8f8bb96d855a82702f42888e3046c529eb0b92d7e10add1bdf1b7cfc38a2ab",
-    ("fib", 4, 7): "56981222836d6ecb7af1d911dbfa42930ef4e2b55ef7527b672d6965dcb48d8f",
-    ("prime", 1, 0): "4f1c8c32a2331b270b0543b6fd1db803419e193ba41a41c0c08ff5ba3199a24e",
-    ("prime", 1, 7): "24956576ee9481f06f2ca0b5672f7eba495102424b5f67e20047d16c026e6b89",
-    ("prime", 2, 0): "0b35fec641fad2a23a400b22648ba337cac96abfba5534e4e81bdb5ae3a6cb69",
-    ("prime", 2, 7): "c6b159b6529b02976c3f352238dd326655862b0340cc017acbda4ead2d53d286",
-    ("prime", 3, 0): "52c72db29c6c6000d832cc8ed0db9e3e405b666714f8359ccc1930f4a45d8d9c",
-    ("prime", 3, 7): "00318dc38dcafc0f981531358f77916fe11d9530d0cf2016cf2ce7b915d210c8",
-    ("prime", 4, 0): "e1b14d35ba1176e0658fcfce8fd4315a2b9d340ecaa98ffa47101756da7c02b1",
-    ("prime", 4, 7): "fd1fd9beefc319b61d63a88f450de2e6348e1465f27070223ca245abbe1204b2",
+    ("evens", 1, 0): "e46a902cf902756349d80f77686eeb5e9669dd7e681107092ce75dbffb75ad18",
+    ("evens", 1, 7): "c66180cc708293187c87f557c43d11cf6fadc8b85daf477ae0b1adc0f085606d",
+    ("evens", 2, 0): "0de24c890a218a7136dab6571ea22284318cb3c10d0e9fa9181137761625f705",
+    ("evens", 2, 7): "cc328b60aa2d62610f6993752d613f0f322be39ca7a95b444621de3093f6bb04",
+    ("evens", 3, 0): "993452099eb3e7a88bd4322c05c00ea900f8c1d8874d5c3e9301b9400c2b2000",
+    ("evens", 3, 7): "189fe980b21fa586ff9df9920dab5ad89a8fbbab99be2ff0e8f8a4c5148ed3b4",
+    ("evens", 4, 0): "f9e1e68b252c14e4a463994c87d2188c479c5486f27f8d4c0ca0a42bd6f09734",
+    ("evens", 4, 7): "bf6c9633116eae3ec1d3c2cf75d22b9584aa5414fc883af1713f004623d02758",
+    ("fib", 1, 0): "3e55cf31b35914d38d51636301bc0357ad76e67f9a33db63a2b55a88f26c6dd8",
+    ("fib", 1, 7): "991a15414aa6e7e367903de8c8812b6c042fbff0d772dae7c0de2afe2bc82a74",
+    ("fib", 2, 0): "ffe42cf2d2be7850cf5cb77152494735900f20648269be65f6de28955e484e26",
+    ("fib", 2, 7): "6a1b9be35e9d47dfcb6582b690ac075e922129d6d0125b455996c62b9aab6b66",
+    ("fib", 3, 0): "ad8b799071a0d14da1742a1c1f11fcb0cfea0d5292ba588a881d49231499eb86",
+    ("fib", 3, 7): "6c2e87fddbd47fb9fa6b5ba1ce58a685fb38b097fd37e0222c40865fa528069f",
+    ("fib", 4, 0): "125e52f44ea5e6eca4f9cd911c5fb9b8fa1c5a1553ac05e342e6047f49533467",
+    ("fib", 4, 7): "7c7949c13f6b7550abc0479483e239aab8f5c716f4c4720d9b41968a0b6bf3a8",
+    ("prime", 1, 0): "4b6bd27dbcea3127821bde59f8453c73b6d67866a7d893b83608cc6ce7f5d81f",
+    ("prime", 1, 7): "abc05a6ecf9ded930cdd12f0c1e7d3b4fae6f9283ecb5e9cfe35bf56994f59df",
+    ("prime", 2, 0): "b7767e75c0f2318d731166226bed15b6d3f82d163936766bbded522a8b58acfb",
+    ("prime", 2, 7): "eb1e465b0d9788f904ef0fe0b8a7dd1f9283a44a3bd9c27dfc90ecfb9b21828a",
+    ("prime", 3, 0): "8cc184ccc1a0d9eb2cd63c582c60270c8ba591aea02473304a906832f6539926",
+    ("prime", 3, 7): "43be137ae9de516a3e378c010e3e298febf381550273bc92e9bedfb7cf06112a",
+    ("prime", 4, 0): "b0fb24e6f856e15f3e9b6a088973e7face58997a0c88a6c3047a7333a59de10f",
+    ("prime", 4, 7): "2640db006d8d05bb12534d4cc466c778274b0dfdeb0addebdf529c82a12a10e6",
 }
 
 
@@ -298,10 +298,10 @@ def test_program_json_bytes_are_pinned():
 # 3), whose wait sets span many bytes of owned positions: a mean of 1.7
 # flags per block at m=1, 3.9 at m=2, 25 at m=4 and 102 at m=8.
 LOOP_RICH_DIGESTS = {
-    1: "d7e2e43e4199006a5405dd8649122d128de88ea74fff3871dd8f9a437d1a5901",
-    2: "1bcec7fd059048289d33f0c3abe4f952024e27ddda3eec8eceab6295c6796aa9",
-    4: "95eafda46a288928c64e4eb5d5ecf36be09eaabac69a8af234dbe8c6658846e5",
-    8: "2b3eadbf4031cd16cb4a884eef138ca69fd825df35fd3cad486de659ed6bcfa7",
+    1: "171a3fdc95ee24cc9e2f2cca20b4bd9f45112f91eb77b68da081a5d694f37c09",
+    2: "1bfe2ab1f68025492fec1c4a63bf8029166363e5d8f9f45455ea7450583178dd",
+    4: "f4eece7e6892d3382aac55a526446f60c31bd95bae36928be97171246118673d",
+    8: "d0b7f6c36999b9a40f1a5bc712cd34b7b5932f5d72f13becae71034bcd147293",
 }
 
 
@@ -324,15 +324,20 @@ def test_loop_rich_program_json_bytes_are_pinned(m):
 
 def test_program_json_has_documented_fields():
     doc = json.loads(program_to_json(obfuscate(prime_cfg(), 2, seed=1)))
-    assert doc["version"] == 2
+    # Each fact once: the block count is len(assign), and a thread's
+    # owned blocks are the keys of its per_block_wait.
+    assert list(doc) == ["version", "source_name", "m", "seed", "prng", "assign", "threads"]
+    assert doc["version"] == 3
     assert doc["source_name"] == "prime"
     assert doc["m"] == 2
-    assert doc["n"] == 16
     assert doc["seed"] == 1
-    assert "stride" not in doc
     assert doc["prng"] == "splitmix64"
     assert len(doc["assign"]) == 16
     assert len(doc["threads"]) == 2
+    for t, thread in enumerate(doc["threads"]):
+        assert list(thread) == ["entry_wait", "per_block_wait"]
+        assert [int(b) for b in thread["per_block_wait"]] == [
+            b for b, owner in enumerate(doc["assign"]) if owner == t]
 
 
 def test_program_json_rejects_wrong_source():
@@ -374,7 +379,7 @@ def _id_lists(thread, field):
     return list(thread[field].values()) if field == "per_block_wait" else [thread[field]]
 
 
-@pytest.mark.parametrize("field", ["owned", "entry_wait", "per_block_wait"])
+@pytest.mark.parametrize("field", ["entry_wait", "per_block_wait"])
 @pytest.mark.parametrize("retype", [float, bool])
 def test_program_json_refuses_retyped_block_ids(field, retype):
     # 1.0 == 1 and True == 1 in Python, so only the type tells them apart.
@@ -388,7 +393,7 @@ def test_program_json_refuses_retyped_block_ids(field, retype):
         program_from_json(json.dumps(doc), cfg)
 
 
-@pytest.mark.parametrize("field", ["owned", "entry_wait", "per_block_wait"])
+@pytest.mark.parametrize("field", ["entry_wait", "per_block_wait"])
 def test_program_json_refuses_a_float_block_id_in_every_thread(field):
     cfg = prime_cfg()
     text = program_to_json(obfuscate(cfg, 4, seed=1))
@@ -400,14 +405,16 @@ def test_program_json_refuses_a_float_block_id_in_every_thread(field):
         ids[-1] = float(ids[-1])
         with pytest.raises(ValueError, match=f"thread {t} in program file does not match"):
             program_from_json(json.dumps(doc), cfg)
-        owning_neither += not {0, 1} & set(thread["owned"])
+        owning_neither += t not in doc["assign"][:2]
     assert owning_neither >= 2
 
 
 def test_program_json_rejects_unknown_version():
     cfg = prime_cfg()
     doc = json.loads(program_to_json(obfuscate(cfg, 2, seed=1)))
-    for version in (1, 99):  # version 1 carried a guard stride
+    # Version 1 carried a guard stride; version 2 stated n and each thread's
+    # owned blocks.
+    for version in (1, 2, 99):
         doc["version"] = version
         with pytest.raises(ValueError):
             program_from_json(json.dumps(doc), cfg)
@@ -453,8 +460,7 @@ def test_program_json_rejects_long_thread_list():
     _refused(doc, cfg)
 
 
-@pytest.mark.parametrize("key", ["version", "source_name", "m", "n", "seed", "assign",
-                                 "threads"])
+@pytest.mark.parametrize("key", ["version", "source_name", "m", "seed", "assign", "threads"])
 def test_program_json_rejects_missing_key(key):
     cfg, doc = _prime_doc()
     del doc[key]
@@ -471,7 +477,6 @@ def test_program_json_rejects_top_level_list():
     ("m", "3"),
     ("m", True),
     ("m", 0),
-    ("n", 16.0),
     ("seed", None),
     ("seed", "1"),
     ("assign", {"0": 0}),
@@ -483,6 +488,13 @@ def test_program_json_rejects_wrongly_typed_field(key, value):
     _refused(doc, cfg)
 
 
+def test_program_json_names_both_block_counts():
+    cfg, doc = _prime_doc()
+    doc["assign"].pop()
+    with pytest.raises(ValueError, match="program file assigns 15 blocks, cfg has 16"):
+        program_from_json(json.dumps(doc), cfg)
+
+
 @pytest.mark.parametrize("entry", ["0", 1.0, None, -1, 3])
 def test_program_json_rejects_bad_assignment_entry(entry):
     cfg, doc = _prime_doc()
@@ -492,5 +504,19 @@ def test_program_json_rejects_bad_assignment_entry(entry):
 
 def test_program_json_rejects_malformed_thread_entry():
     cfg, doc = _prime_doc()
-    doc["threads"][1] = ["owned"]
+    doc["threads"][1] = ["entry_wait"]
     _refused(doc, cfg)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+def test_program_json_refuses_a_wait_keyed_by_a_block_of_another_thread(moved):
+    # The keys of per_block_wait are the only place a stored thread names
+    # its blocks; they must be exactly the blocks `assign` gives it.
+    cfg, doc = _prime_doc()
+    foreign = doc["assign"].index(1)
+    waits = doc["threads"][0]["per_block_wait"]
+    if moved:
+        del waits[next(iter(waits))]
+    waits[str(foreign)] = doc["threads"][1]["per_block_wait"][str(foreign)]
+    with pytest.raises(ValueError, match="thread 0 in program file does not match"):
+        program_from_json(json.dumps(doc), cfg)
