@@ -182,6 +182,8 @@ def cmd_verify(args) -> int:
 
 def cmd_dot(args) -> int:
     cfg = _load_cfg(args.input)
+    # Load the artifact before writing anything, so a refused one leaves no file.
+    prog = _load_program(args.obf, cfg) if args.obf else None
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -191,8 +193,7 @@ def cmd_dot(args) -> int:
     path = out_dir / f"{stem}.dot"
     _write_text(path, emit_dot_cfg(cfg))
     print(f"wrote {path}")
-    if args.obf:
-        prog = _load_program(args.obf, cfg)
+    if prog is not None:
         for tcfg in prog.threads:
             path = out_dir / f"{stem}.thread{tcfg.thread_index}.dot"
             _write_text(path, emit_dot_thread(tcfg, cfg))

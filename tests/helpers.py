@@ -21,6 +21,33 @@ def run_child(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
                           timeout=timeout, env=env)
 
 
+class ReferenceRng:
+    """splitmix64 computed one output at a time: the stream that
+    `rng.Rng`, which computes a chunk at a time, must reproduce."""
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = seed & self.MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        limit = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            x = self.next_u64()
+            if x < limit:
+                return x % bound
+
+    def chance(self, p: float) -> bool:
+        return self.next_u64() < p * (1 << 64)
+
+
 def chain(k: int, name: str = "chain") -> Cfg:
     """Linear cfg: 0 -> 1 -> ... -> k-1, last block halts."""
     blocks = [BasicBlock(i, f"n{i}", [], Jump(i + 1)) for i in range(k - 1)]

@@ -236,6 +236,17 @@ def test_a_version_2_artifact_is_refused(command, kernels, capsys, monkeypatch, 
     assert opened == []
 
 
+def test_dot_with_a_refused_artifact_writes_no_file(kernels, capsys, tmp_path):
+    obf = tmp_path / "evens.obf"
+    obf.write_text(EVENS_V2)
+    out_dir = tmp_path / "dots"
+    assert main(["dot", "-i", kernels["evens"], "--obf", str(obf), "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {obf}: unsupported program file version 2"]
+    assert list(tmp_path.rglob("*.dot")) == []
+
+
 def test_run_defines_seed_the_store(capsys, tmp_path):
     src = tmp_path / "inp.cfg"
     src.write_text(INPUT_ONLY)
