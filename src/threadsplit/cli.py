@@ -26,10 +26,7 @@ from .runtime import (
     COMPLETED,
     DEADLOCK,
     DEFAULT_STEP_BUDGET,
-    RANDOM,
-    ROUND_ROBIN,
     TRAPPED,
-    Schedule,
     run_obfuscated,
     run_sequential,
     trace_to_json,
@@ -125,19 +122,20 @@ def cmd_obfuscate(args) -> int:
 def cmd_run(args) -> int:
     if args.budget < 1:
         raise CliError(f"bad --budget {args.budget}, expected >= 1")
+    if args.schedule_seed is not None and args.mode != "sched":
+        raise CliError(f"--schedule-seed applies to mode sched only, not {args.mode}")
     cfg = _load_cfg(args.input)
     inputs = _parse_defines(args.define)
     if args.mode == "seq":
-        trace = run_sequential(cfg, inputs, max_steps=args.budget)
+        trace = run_sequential(cfg, inputs, budget=args.budget)
     else:
         if not args.obf:
             raise CliError(f"--obf is required for mode {args.mode}")
         prog = _load_program(args.obf, cfg)
-        mode = ROUND_ROBIN if args.schedule == "rr" else RANDOM
-        sched = Schedule(mode, args.schedule_seed, args.budget)
         t0 = time.perf_counter()
         try:
-            trace = run_obfuscated(prog, inputs, sched=sched, concurrent=args.mode == "conc")
+            trace = run_obfuscated(prog, inputs, budget=args.budget, seed=args.schedule_seed,
+                                   concurrent=args.mode == "conc")
         except OSError as e:  # a conc run needs the GIL, m pipes and m-1 threads
             raise CliError(f"cannot run {prog.m} workers: {e.strerror or e}")
         if args.mode == "conc":
@@ -228,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="source .cfg file")
     p.add_argument("--obf", help="obfuscation artifact (required for sched/conc)")
     p.add_argument("--mode", choices=("seq", "sched", "conc"), default="seq")
-    p.add_argument("--schedule", choices=("rr", "random"), default="rr",
-                   help="worker schedule in sched mode (default rr)")
-    p.add_argument("--schedule-seed", type=int, default=0)
+    p.add_argument("--schedule-seed", type=int, metavar="N",
+                   help="in sched mode, poll the workers in the random order drawn "
+                        "from seed N (default: round-robin)")
     p.add_argument("-D", "--define", action="append", metavar="NAME=VALUE",
                    help="preset a variable in the store (repeatable)")
     p.add_argument("--trace-out", help="write the execution trace as JSON")

@@ -43,6 +43,8 @@ from .ir import Cfg
 
 FORMAT_VERSION = 3
 
+MAX_THREADS = 1024  # a build makes a ThreadCfg, and a `conc` run an OS thread, per thread
+
 
 @dataclass
 class Partition:
@@ -115,8 +117,6 @@ def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:
     """Assign each block a thread index drawn uniformly and independently
     from [0, m), in block-id order, from a splitmix64 stream seeded with
     `seed`. Deterministic: same (cfg, m, seed) gives the same partition."""
-    if m < 1:
-        raise ValueError(f"thread count must be >= 1, got {m}")
     r = rng.Rng(seed)
     return Partition(m=m, assign=[r.below(m) for _ in range(cfg.n)], seed=seed)
 
@@ -248,12 +248,23 @@ def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> Thre
     return ThreadCfg(t, frozenset(owned), entry_wait, per_block)
 
 
-def obfuscate(cfg: Cfg, m: int, seed: int) -> ObfuscatedProgram:
-    """Partition the blocks and build all m thread CFGs. Pure function of
-    its arguments."""
+def check_thread_count(m: int) -> None:
+    if not 1 <= m <= MAX_THREADS:
+        raise ValueError(f"thread count must be in 1..{MAX_THREADS}, got {m}")
+
+
+def check_cfg(cfg: Cfg) -> None:
     errors = cfg.problems
     if errors:
         raise ValueError(f"invalid cfg {cfg.name!r}: " + "; ".join(errors))
+
+
+def obfuscate(cfg: Cfg, m: int, seed: int) -> ObfuscatedProgram:
+    """Partition the blocks and build all m thread CFGs. Pure function of
+    its arguments. An invalid cfg, or an m outside 1..MAX_THREADS, raises
+    ValueError."""
+    check_cfg(cfg)
+    check_thread_count(m)
     partition = partition_blocks(cfg, m, seed)
     succs = ir.successor_map(cfg)
     threads = [build_thread_cfg(cfg, partition, t, succs) for t in range(m)]
@@ -348,16 +359,18 @@ def _field(doc: dict, key: str, kind: type):
 def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     """Rebuild an ObfuscatedProgram against its source cfg.
 
-    Checked in order, any failure raising ValueError: a JSON object;
-    `version` is FORMAT_VERSION (older files are refused, not read);
-    `source_name` matches the cfg; `m` is an int >= 1; `assign` holds one
-    thread in 0..m-1 per block of the cfg; `seed` is an int; `threads`
-    holds m entries, each equal to its thread rebuilt from the assignment,
-    with every block id an int. The stored assignment is authoritative (it
+    Checked in order, any failure raising ValueError: the cfg is valid,
+    as `obfuscate` checks it; a JSON object; `version` is FORMAT_VERSION
+    (older files are refused, not read); `source_name` matches the cfg;
+    `m` is an int in 1..MAX_THREADS; `assign` holds one thread in 0..m-1
+    per block of the cfg; `seed` is an int; `threads` holds m entries,
+    each equal to its thread rebuilt from the assignment, with every
+    block id an int. The stored assignment is authoritative (it
     may have been hand-tuned): `seed` and `prng` only record how it was
     drawn and are not checked against it; `prng` and unknown keys are not
     read.
     """
+    check_cfg(cfg)
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
@@ -370,8 +383,7 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     if source_name != cfg.name:
         raise ValueError(f"program file is for function {source_name!r}, not {cfg.name!r}")
     m = _field(doc, "m", int)
-    if m < 1:
-        raise ValueError(f"program file has thread count {m}, expected >= 1")
+    check_thread_count(m)
     assign = _field(doc, "assign", list)
     if len(assign) != cfg.n:
         raise ValueError(f"program file assigns {len(assign)} blocks, cfg has {cfg.n}")

@@ -5,8 +5,9 @@ semantics (undefined variables read as 0):
 
 * `run_sequential` - the reference interpreter over the original cfg.
 * `run_obfuscated(.., concurrent=False)` - all workers advanced one
-  micro-step at a time (one wait-poll or one block execution) under a
-  deterministic schedule. This is the verification vehicle.
+  micro-step at a time (one wait-poll or one block execution),
+  round-robin or in an order drawn from a seed. This is the
+  verification vehicle.
 * `run_obfuscated(.., concurrent=True)` - one OS thread per worker,
   polling the shared guard flags: the calling thread is worker 0 and
   starts the other m-1. CPython's GIL provides the
@@ -32,13 +33,14 @@ flag up once it has cleared its own counts in `flag_violations`.
 The step has no fault hooks: the test suite breaks the protocol from
 outside, through the flag array, the cfg and the wait lists it is given.
 
-One stop rule holds in every mode: the budget counts executed blocks,
-and a run that executes that many without halting ends with status
-"deadlock" (reason "budget"). Polling changes no state, so the flags and
-every wait list stay as the last handoff left them; once it has raised
-a flag, a worker can advance iff its wait list holds a raised flag. If
-none can, with DONE down, that handoff (or, for the entry flag, the run's
-start) ends the run at once, also as "deadlock" (reason "no-flag").
+One budget rule holds in every mode: `budget` counts executed blocks,
+one below 1 raises ValueError before any pipe or thread exists, and a
+run that executes that many without halting ends with status "deadlock"
+(reason "budget"). Polling changes no state, so the flags and every
+wait list stay as the last handoff left them; once it has raised a flag,
+a worker can advance iff its wait list holds a raised flag. If none can,
+with DONE down, that handoff (or, for the entry flag, the run's start)
+ends the run at once, also as "deadlock" (reason "no-flag").
 """
 
 from __future__ import annotations
@@ -68,21 +70,10 @@ SEQ = "seq"  # worker name used by the sequential interpreter
 
 DEFAULT_STEP_BUDGET = 10_000_000
 
-ROUND_ROBIN = "round-robin"
-RANDOM = "random"
 
-
-@dataclass
-class Schedule:
-    mode: str = ROUND_ROBIN
-    seed: int = 0
-    step_budget: int = DEFAULT_STEP_BUDGET
-
-    def __post_init__(self):
-        if self.mode not in (ROUND_ROBIN, RANDOM):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.step_budget < 1:
-            raise ValueError(f"step budget must be >= 1, got {self.step_budget}")
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
 
 
 @dataclass
@@ -162,14 +153,15 @@ def _exec_block(blk, store: dict, output: list) -> int | None:
 
 
 def run_sequential(cfg: Cfg, inputs: dict[str, int] | None = None,
-                   max_steps: int = DEFAULT_STEP_BUDGET) -> ExecutionTrace:
+                   budget: int = DEFAULT_STEP_BUDGET) -> ExecutionTrace:
     """Reference semantics: execute from entry, following terminators.
-    Status is "deadlock" if the step budget runs out before halt."""
+    Status is "deadlock" if the budget runs out before halt."""
+    _check_budget(budget)
     store: dict[str, int] = dict(inputs or {})
     trace = ExecutionTrace()
     blocks = cfg.blocks
     cur = cfg.entry
-    for step in range(max_steps):
+    for step in range(budget):
         trace.records.append((step, SEQ, cur))
         try:
             nxt = _exec_block(blocks[cur], store, trace.output)
@@ -183,15 +175,18 @@ def run_sequential(cfg: Cfg, inputs: dict[str, int] | None = None,
     return trace
 
 
-def run_obfuscated(prog: ObfuscatedProgram, inputs: dict[str, int] | None = None,
-                   sched: Schedule | None = None, concurrent: bool = False) -> ExecutionTrace:
+def run_obfuscated(prog: ObfuscatedProgram, inputs: dict[str, int] | None = None, *,
+                   budget: int = DEFAULT_STEP_BUDGET, seed: int | None = None,
+                   concurrent: bool = False) -> ExecutionTrace:
     """Execute an obfuscated program; see the module docstring for the
-    protocol. Scheduled mode is fully deterministic given `sched`."""
-    if sched is None:
-        sched = Schedule()
+    protocol. A scheduled run polls the workers round-robin, or in the
+    order drawn from `Rng(seed)`; a concurrent run takes no seed."""
+    _check_budget(budget)
     if concurrent:
-        return _run_concurrent(prog, inputs, sched.step_budget)
-    return _run_scheduled(prog, inputs, sched)
+        if seed is not None:
+            raise ValueError("a concurrent run takes no schedule seed")
+        return _run_concurrent(prog, inputs, budget)
+    return _run_scheduled(prog, inputs, budget, seed)
 
 
 class _Guards:
@@ -272,11 +267,11 @@ class _Guards:
             stop(NO_FLAG)
 
 
-def _run_scheduled(prog, inputs, sched: Schedule) -> ExecutionTrace:
-    core = _Guards(prog, inputs, sched.step_budget)
+def _run_scheduled(prog, inputs, budget: int, seed: int | None) -> ExecutionTrace:
+    core = _Guards(prog, inputs, budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
     live = list(range(prog.m))
-    chooser = rng.Rng(sched.seed) if sched.mode == RANDOM else None
+    chooser = None if seed is None else rng.Rng(seed)
     pos = step = 0
 
     while live:

@@ -19,16 +19,8 @@ from dataclasses import dataclass, field
 
 from . import ir, rng
 from .ir import BasicBlock, BinOp, Branch, Cfg, Halt, Jump
-from .obfuscate import check_bijection, obfuscate, wait_set_query
-from .runtime import (
-    COMPLETED,
-    RANDOM,
-    ROUND_ROBIN,
-    ExecutionTrace,
-    Schedule,
-    run_obfuscated,
-    run_sequential,
-)
+from .obfuscate import check_bijection, check_cfg, check_thread_count, obfuscate, wait_set_query
+from .runtime import COMPLETED, ExecutionTrace, run_obfuscated, run_sequential
 
 
 def oracle_first_inset_reachable(bcur: int, bbset, cfg: Cfg,
@@ -105,8 +97,10 @@ class VerifyConfig:
     schedule_seeds: int = 10
 
     def __post_init__(self):
-        if not self.m_values or any(m < 1 for m in self.m_values):
-            raise ValueError("m_values entries must be >= 1")
+        if not self.m_values:
+            raise ValueError("m_values must not be empty")
+        for m in self.m_values:
+            check_thread_count(m)
         for name in ("partition_seeds", "schedule_seeds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -249,26 +243,22 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     the result for every build); an invalid one raises ValueError."""
     config = config or VerifyConfig()
     name = name or cfg.name
-    errors = cfg.problems
-    if errors:
-        raise ValueError(f"invalid cfg {name!r}: " + "; ".join(errors))
+    check_cfg(cfg)
     ref = run_sequential(cfg, inputs)
     if ref.status != COMPLETED:
         raise ValueError(f"reference run of {name} did not complete: {ref.status}")
     ref_blocks = ref.block_sequence()
     budget = len(ref_blocks)
     results: list[CaseResult] = []
-    schedules = [Schedule(ROUND_ROBIN, 0, budget)]
-    schedules += [Schedule(RANDOM, s, budget) for s in range(config.schedule_seeds)]
     for m in config.m_values:
         for pseed in range(config.partition_seeds):
             prog = obfuscate(cfg, m, pseed)
             issues = check_bijection(prog)
             results.append(CaseResult(
                 name, m, pseed, "structure", not issues, "; ".join(issues)))
-            for sched in schedules:
-                label = sched.mode if sched.mode == ROUND_ROBIN else f"{sched.mode}:{sched.seed}"
-                trace = run_obfuscated(prog, inputs, sched=sched)
+            for seed in (None, *range(config.schedule_seeds)):
+                label = "round-robin" if seed is None else f"random:{seed}"
+                trace = run_obfuscated(prog, inputs, budget=budget, seed=seed)
                 found = _differences(trace, ref, ref_blocks, prog.partition.assign)
                 results.append(CaseResult(name, m, pseed, label, not found,
                                           found[0] if found else "",

@@ -24,7 +24,7 @@ import pytest
 from threadsplit import runtime
 from threadsplit.ir import Branch, Cfg, Jump
 from threadsplit.obfuscate import ObfuscatedProgram, obfuscate
-from threadsplit.runtime import Schedule, run_obfuscated, run_sequential
+from threadsplit.runtime import DEFAULT_STEP_BUDGET, run_obfuscated, run_sequential
 from threadsplit.verify import _differences
 
 SKIP_CLEAR = "skip-clear"
@@ -115,11 +115,13 @@ def with_fault(prog: ObfuscatedProgram, fault: str) -> ObfuscatedProgram:
     return faulty
 
 
-def run_with_fault(prog: ObfuscatedProgram, fault: str, inputs=None,
-                   sched: Schedule | None = None, concurrent: bool = False):
+def run_with_fault(prog: ObfuscatedProgram, fault: str, inputs=None, *,
+                   budget: int = DEFAULT_STEP_BUDGET, seed: int | None = None,
+                   concurrent: bool = False):
     """`run_obfuscated` of `prog` with `fault` applied for this run only."""
     with guard_flags(_DROPPED_WRITE.get(fault)):
-        return run_obfuscated(with_fault(prog, fault), inputs, sched, concurrent)
+        return run_obfuscated(with_fault(prog, fault), inputs, budget=budget, seed=seed,
+                              concurrent=concurrent)
 
 
 def check_faults(cfg: Cfg, m: int = 3, seed: int = 7,
@@ -131,10 +133,9 @@ def check_faults(cfg: Cfg, m: int = 3, seed: int = 7,
     ref = run_sequential(cfg)
     ref_blocks = ref.block_sequence()
     prog = obfuscate(cfg, m, seed)
-    sched = Schedule(step_budget=len(ref_blocks))
     report: dict[str, dict] = {}
     for fault in faults:
-        trace = run_with_fault(prog, fault, sched=sched)
+        trace = run_with_fault(prog, fault, budget=len(ref_blocks))
         signals = _differences(trace, ref, ref_blocks, prog.partition.assign)
         report[fault] = {"detected": bool(signals), "signals": signals}
     return report

@@ -117,6 +117,16 @@ def test_obfuscate_rejects_m_zero(kernels):
     assert main(["obfuscate", "-i", kernels["evens"], "-m", "0"]) == 2
 
 
+@pytest.mark.parametrize("m", ["1025", "99999999999", "99999999999999999999"])
+def test_obfuscate_and_verify_refuse_a_thread_count_over_the_bound(kernels, capsys, tmp_path, m):
+    out = tmp_path / "evens.obf"
+    assert main(["obfuscate", "-i", kernels["evens"], "-m", m, "-o", str(out)]) == 2
+    assert main(["verify", kernels["evens"], "--m-values", f"1,{m}", "--alg1-trials", "0"]) == 2
+    err = f"error: thread count must be in 1..1024, got {m}\n"
+    assert capsys.readouterr().err == err * 2
+    assert not out.exists()
+
+
 def test_obfuscate_writes_version_3_without_stride(kernels, capsys, tmp_path):
     out = str(tmp_path / "s.obf")
     assert main(["obfuscate", "-i", kernels["evens"], "-m", "2", "-o", out]) == 0
@@ -167,9 +177,27 @@ def test_run_sched_matches_seq(kernels, capsys, tmp_path):
     main(["run", "-i", kernels["fib"], "--mode", "seq"])
     seq_out = capsys.readouterr().out
     rc = main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", "sched",
-               "--schedule", "random", "--schedule-seed", "3"])
+               "--schedule-seed", "3"])
     assert rc == 0
     assert capsys.readouterr().out == seq_out
+
+
+@pytest.mark.parametrize("mode", ["seq", "conc"])
+def test_run_schedule_seed_needs_mode_sched(kernels, capsys, tmp_path, mode):
+    obf = str(tmp_path / "fib.obf")
+    main(["obfuscate", "-i", kernels["fib"], "-m", "2", "-o", obf])
+    capsys.readouterr()
+    assert main(["run", "-i", kernels["fib"], "--obf", obf, "--mode", mode,
+                 "--schedule-seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --schedule-seed applies to mode sched only, not {mode}\n"
+
+
+def test_run_has_no_schedule_mode_option(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    assert "--schedule " not in capsys.readouterr().out
 
 
 def test_run_conc_prints_timing_to_stderr(kernels, capsys, tmp_path):

@@ -9,6 +9,7 @@ from helpers import chain, diamond, loop_rich, two_loop
 from threadsplit import ir
 from threadsplit.kernels import kernel_text
 from threadsplit.obfuscate import (
+    MAX_THREADS,
     Partition,
     WaitSet,
     build_thread_cfg,
@@ -107,9 +108,14 @@ def test_partition_deterministic():
     assert partition_blocks(cfg, 4, 42) == partition_blocks(cfg, 4, 42)
 
 
-def test_partition_rejects_bad_m():
-    with pytest.raises(ValueError):
-        partition_blocks(prime_cfg(), 0, 1)
+@pytest.mark.parametrize("m", [0, -1, MAX_THREADS + 1, 99999999999, 10**20])
+def test_obfuscate_refuses_a_thread_count_outside_the_bound(m, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a refused thread count was partitioned")
+
+    monkeypatch.setattr(threadsplit.obfuscate, "partition_blocks", must_not_run)
+    with pytest.raises(ValueError, match=rf"^thread count must be in 1\.\.{MAX_THREADS}, got {m}$"):
+        obfuscate(prime_cfg(), m, 1)
 
 
 def test_partition_thousand_seeds_all_distinct():
@@ -346,6 +352,27 @@ def test_program_json_rejects_wrong_source():
     other = parse(kernel_text("evens"))
     with pytest.raises(ValueError):
         program_from_json(text, other)
+
+
+def test_program_json_refuses_an_invalid_cfg_as_obfuscate_does():
+    # Same name and size as the artifact's cfg, but block 0 jumps to block 5.
+    text = program_to_json(obfuscate(chain(2), 2, seed=1))
+    broken = ir.Cfg("chain", [ir.BasicBlock(0, "n0", [], ir.Jump(5)),
+                              ir.BasicBlock(1, "n1", [], ir.Halt())])
+    with pytest.raises(ValueError, match="^invalid cfg 'chain': ") as loaded:
+        program_from_json(text, broken)
+    with pytest.raises(ValueError) as built:
+        obfuscate(broken, 2, seed=1)
+    assert str(loaded.value) == str(built.value)
+
+
+@pytest.mark.parametrize("m", [0, MAX_THREADS + 1])
+def test_program_json_refuses_a_thread_count_outside_the_bound(m):
+    cfg = prime_cfg()
+    doc = json.loads(program_to_json(obfuscate(cfg, 2, seed=1)))
+    doc["m"] = m
+    with pytest.raises(ValueError, match=rf"^thread count must be in 1\.\.{MAX_THREADS}, got {m}$"):
+        program_from_json(json.dumps(doc), cfg)
 
 
 def test_program_json_rejects_tampered_wait_sets():

@@ -20,12 +20,9 @@ from threadsplit.runtime import (
     COMPLETED,
     DEADLOCK,
     NO_FLAG,
-    RANDOM,
-    ROUND_ROBIN,
     TRAP,
     TRAPPED,
     ObfuscatedProgram,
-    Schedule,
     Trap,
     run_obfuscated,
     run_sequential,
@@ -38,6 +35,13 @@ from threadsplit.verify import random_cfg
 
 def kernel(name):
     return parse(kernel_text(name))
+
+
+def label_seed(label):
+    """The schedule seed a case label names: None for "round-robin",
+    s for "random:s"."""
+    _, _, seed = label.partition(":")
+    return int(seed) if seed else None
 
 
 def program(src: str):
@@ -212,26 +216,26 @@ def test_trap_in_concurrent_mode():
 
 
 def test_sequential_budget_exhaustion_is_deadlock():
-    trace = run_sequential(kernel("fib"), max_steps=3)
+    trace = run_sequential(kernel("fib"), budget=3)
     assert trace.status == DEADLOCK
 
 
 def test_scheduled_budget_exhaustion_is_deadlock():
     prog = obfuscate(kernel("fib"), 2, seed=0)
-    trace = run_obfuscated(prog, sched=Schedule(step_budget=5))
+    trace = run_obfuscated(prog, budget=5)
     assert trace.status == DEADLOCK
 
 
 def test_budget_counts_executed_blocks_in_every_engine():
     cfg = kernel("prime")
-    ref = run_sequential(cfg, max_steps=100)
+    ref = run_sequential(cfg, budget=100)
     assert ref.status == DEADLOCK
     assert len(ref.records) == 100
     assert len(ref.output) == 20
     prog = obfuscate(cfg, 2, seed=0)
-    runs = [run_obfuscated(prog, sched=Schedule(ROUND_ROBIN, 0, 100)),
-            run_obfuscated(prog, sched=Schedule(RANDOM, 3, 100)),
-            run_obfuscated(prog, sched=Schedule(step_budget=100), concurrent=True)]
+    runs = [run_obfuscated(prog, budget=100),
+            run_obfuscated(prog, budget=100, seed=3),
+            run_obfuscated(prog, budget=100, concurrent=True)]
     for trace in runs:
         assert trace.status == DEADLOCK
         assert len(trace.records) == 100
@@ -249,7 +253,7 @@ NO_WAY_BACK = """
 import sys
 from threadsplit.kernels import kernel_text
 from threadsplit.obfuscate import WaitSet, obfuscate
-from threadsplit.runtime import Schedule, run_obfuscated
+from threadsplit.runtime import run_obfuscated
 from threadsplit.textfmt import parse
 
 prog = obfuscate(parse(kernel_text("prime")), int(sys.argv[1]), 0)
@@ -259,7 +263,7 @@ for b in owner.per_block_wait:
 if sys.argv[2:] == ["entry"]:
     owner.entry_wait = WaitSet(())
 for concurrent in (False, True):
-    trace = run_obfuscated(prog, sched=Schedule(step_budget=10**12), concurrent=concurrent)
+    trace = run_obfuscated(prog, budget=10**12, concurrent=concurrent)
     print(trace.status, trace.reason, len(trace.records))
 """
 
@@ -294,7 +298,7 @@ def test_prime_m4_seed42_round_robin_matches_sequential():
     cfg = kernel("prime")
     ref = run_sequential(cfg)
     prog = obfuscate(cfg, 4, seed=42)
-    trace = run_obfuscated(prog, sched=Schedule("round-robin"))
+    trace = run_obfuscated(prog)
     assert trace.status == COMPLETED
     assert trace.output == ref.output
     assert trace.block_sequence() == ref.block_sequence()
@@ -305,9 +309,8 @@ def test_schedule_choice_never_changes_behavior():
     cfg = kernel("prime")
     ref = run_sequential(cfg)
     prog = obfuscate(cfg, 3, seed=9)
-    schedules = [Schedule("round-robin")] + [Schedule("random", s) for s in range(10)]
-    for sched in schedules:
-        trace = run_obfuscated(prog, sched=sched)
+    for seed in (None, *range(10)):
+        trace = run_obfuscated(prog, seed=seed)
         assert trace.status == COMPLETED
         assert trace.output == ref.output
         assert trace.block_sequence() == ref.block_sequence()
@@ -357,9 +360,7 @@ SCHEDULE_DIGESTS = {
 
 def test_scheduled_records_are_pinned():
     for (name, m, label), digest in SCHEDULE_DIGESTS.items():
-        mode, _, seed = label.partition(":")
-        trace = run_obfuscated(obfuscate(kernel(name), m, 0),
-                               sched=Schedule(mode, int(seed or 0)))
+        trace = run_obfuscated(obfuscate(kernel(name), m, 0), seed=label_seed(label))
         assert trace.status == COMPLETED
         got = hashlib.sha256(json.dumps(trace.records).encode()).hexdigest()
         assert got == digest, (name, m, label)
@@ -453,9 +454,8 @@ def test_mutated_runs_are_pinned():
             prog = obfuscate(cfg, m, 0)
             for fault in faults.HANDOFF_FAULTS:
                 for label in ("round-robin", "random:0"):
-                    mode, _, seed = label.partition(":")
-                    trace = faults.run_with_fault(
-                        prog, fault, sched=Schedule(mode, int(seed or 0), budget))
+                    trace = faults.run_with_fault(prog, fault, budget=budget,
+                                                  seed=label_seed(label))
                     got = hashlib.sha256(json.dumps(
                         [trace.records, trace.output, trace.reason, trace.flag_violations]
                     ).encode()).hexdigest()
@@ -464,8 +464,8 @@ def test_mutated_runs_are_pinned():
 
 def test_random_schedule_deterministic_per_seed():
     prog = obfuscate(kernel("evens"), 3, seed=2)
-    a = run_obfuscated(prog, sched=Schedule("random", 4))
-    b = run_obfuscated(prog, sched=Schedule("random", 4))
+    a = run_obfuscated(prog, seed=4)
+    b = run_obfuscated(prog, seed=4)
     assert a.records == b.records
 
 
@@ -522,25 +522,27 @@ def test_concurrent_matches_sequential_block_for_block():
 
 
 def test_concurrent_matches_scheduled_record_for_record_on_random_cfgs():
-    """A `conc` run is one more schedule of the program, so it must equal
-    the round-robin run in (worker, block) records, output, stop reason
-    and flag violations, on 200 generated graphs that complete within 200
-    blocks. m=8 runs more workers than a small host has cores, and more
-    than many of the graphs have blocks."""
-    r, sched, cfgs = rng.Rng(11), Schedule(step_budget=200), []
+    """A `conc` run is one more schedule of the program, and so is a
+    random schedule: each must equal the round-robin run in (worker,
+    block) records, output, stop reason and flag violations, on 200
+    generated graphs that complete within 200 blocks. m=8 runs more
+    workers than a small host has cores, and more than many of the graphs
+    have blocks."""
+    r, cfgs = rng.Rng(11), []
     while len(cfgs) < 200:
         cfg = random_cfg(r)
-        if run_sequential(cfg, max_steps=200).status == COMPLETED:
+        if run_sequential(cfg, budget=200).status == COMPLETED:
             cfgs.append(cfg)
     for cfg in cfgs:
         for m in (2, 3, 4, 8):
             for seed in range(3):
                 prog = obfuscate(cfg, m, seed)
-                runs = [run_obfuscated(prog, sched=sched, concurrent=conc)
-                        for conc in (False, True)]
-                want, got = ([[(w, b) for _, w, b in t.records], t.output, t.reason,
-                              t.flag_violations] for t in runs)
-                assert got == want, (m, seed, format_cfg(cfg))
+                runs = [run_obfuscated(prog, budget=200),
+                        run_obfuscated(prog, budget=200, seed=seed),
+                        run_obfuscated(prog, budget=200, concurrent=True)]
+                want, *got = ([[(w, b) for _, w, b in t.records], t.output, t.reason,
+                               t.flag_violations] for t in runs)
+                assert got == [want, want], (m, seed, format_cfg(cfg))
 
 
 PINNING = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -650,11 +652,11 @@ def test_concurrent_run_leaves_no_thread_behind():
     for name in KERNELS:
         for m in (2, 4):
             run_obfuscated(obfuscate(kernel(name), m, seed=5), concurrent=True)
-    for prog, sched, reason in [
-            (obfuscate(program(DIV_ZERO), 2, seed=1), None, TRAP),
-            (obfuscate(kernel("prime"), 2, seed=0), Schedule(step_budget=100), BUDGET),
-            (no_way_back(3), None, NO_FLAG)]:
-        assert run_obfuscated(prog, sched=sched, concurrent=True).reason == reason
+    for prog, budget, reason in [
+            (obfuscate(program(DIV_ZERO), 2, seed=1), 10**6, TRAP),
+            (obfuscate(kernel("prime"), 2, seed=0), 100, BUDGET),
+            (no_way_back(3), 10**6, NO_FLAG)]:
+        assert run_obfuscated(prog, budget=budget, concurrent=True).reason == reason
     assert wait_for_thread_count(threads) == threads
     # The workers never called into `threading`, so none is registered.
     assert threading.enumerate() == registered
@@ -748,7 +750,7 @@ import os
 os.sched_setaffinity(0, range(os.cpu_count()))  # the kernel keeps only the allowed CPUs
 from threadsplit.kernels import kernel_text
 from threadsplit.obfuscate import WaitSet, obfuscate
-from threadsplit.runtime import Schedule, run_obfuscated
+from threadsplit.runtime import run_obfuscated
 from threadsplit.textfmt import parse
 
 stuck = obfuscate(parse(kernel_text("prime")), 3, 0)
@@ -756,13 +758,13 @@ owner = stuck.threads[stuck.partition.assign[stuck.source.entry]]
 for b in owner.per_block_wait:
     owner.per_block_wait[b] = WaitSet(())
 trap = parse("func f {\\n  block a:\\n    q = x / zero\\n    halt\\n}\\n")
-runs = [(obfuscate(parse(kernel_text("prime")), 3, 8), None),
-        (obfuscate(trap, 2, 1), None),
-        (obfuscate(parse(kernel_text("prime")), 2, 0), Schedule(step_budget=100)),
-        (stuck, None)]
+runs = [(obfuscate(parse(kernel_text("prime")), 3, 8), 10**6),
+        (obfuscate(trap, 2, 1), 10**6),
+        (obfuscate(parse(kernel_text("prime")), 2, 0), 100),
+        (stuck, 10**6)]
 before = os.sched_getaffinity(0)
-for prog, sched in runs:
-    trace = run_obfuscated(prog, sched=sched, concurrent=True)
+for prog, budget in runs:
+    trace = run_obfuscated(prog, budget=budget, concurrent=True)
     print(trace.reason, os.sched_getaffinity(0) == before)
 """
 
@@ -929,8 +931,7 @@ def mutated_prime_run(fault: str):
     cfg = kernel("prime")
     ref = run_sequential(cfg)
     prog = obfuscate(cfg, 3, seed=7)
-    sched = Schedule(step_budget=len(ref.records))
-    return ref, faults.run_with_fault(prog, fault, sched=sched)
+    return ref, faults.run_with_fault(prog, fault, budget=len(ref.records))
 
 
 def test_mutation_skip_raise_deadlocks():
@@ -967,9 +968,9 @@ def test_concurrent_fault_run_matches_round_robin(name, m, fault):
     # Under skip-clear more than one flag is up, and the run depends on it.
     cfg = kernel(name)
     prog = obfuscate(cfg, m, 0)
-    sched = Schedule(step_budget=len(run_sequential(cfg).records))
-    want = faults.run_with_fault(prog, fault, sched=sched)
-    got = faults.run_with_fault(prog, fault, sched=sched, concurrent=True)
+    budget = len(run_sequential(cfg).records)
+    want = faults.run_with_fault(prog, fault, budget=budget)
+    got = faults.run_with_fault(prog, fault, budget=budget, concurrent=True)
     assert [r[1:] for r in got.records] == [r[1:] for r in want.records]
     assert (got.output, got.reason) == (want.output, want.reason)
 
@@ -979,10 +980,8 @@ def test_guard_flags_shim_sees_every_write():
     # `runtime.bytearray`: with no fault, the shim must leave each run as
     # pinned and count one clear per executed block.
     for (name, m, label), digest in SCHEDULE_DIGESTS.items():
-        mode, _, seed = label.partition(":")
         with faults.guard_flags() as shim:
-            trace = run_obfuscated(obfuscate(kernel(name), m, 0),
-                                   sched=Schedule(mode, int(seed or 0)))
+            trace = run_obfuscated(obfuscate(kernel(name), m, 0), seed=label_seed(label))
         assert hashlib.sha256(json.dumps(trace.records).encode()).hexdigest() == digest
         assert len(shim.made) == 1, "the run did not build its flags from runtime.bytearray"
         assert shim.made[0].clears == len(trace.records), (name, m, label)
@@ -992,8 +991,8 @@ def test_guard_flags_shim_sees_every_write():
 def test_trace_names_why_the_run_stopped(mode):
     def run(cfg, budget):
         if mode == "seq":
-            return run_sequential(cfg, max_steps=budget)
-        return run_obfuscated(obfuscate(cfg, 2, seed=1), sched=Schedule(step_budget=budget),
+            return run_sequential(cfg, budget=budget)
+        return run_obfuscated(obfuscate(cfg, 2, seed=1), budget=budget,
                               concurrent=mode == "conc")
 
     for cfg, budget, reason, status in ((kernel("fib"), 10**6, COMPLETED, COMPLETED),
@@ -1004,11 +1003,32 @@ def test_trace_names_why_the_run_stopped(mode):
         assert json.loads(trace_to_json(trace))["reason"] == reason
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule("fifo")
-    with pytest.raises(ValueError):
-        Schedule(step_budget=0)
+@pytest.fixture
+def no_pipes(monkeypatch):
+    """Fail the test if a run opens a pipe: a refused run starts nothing."""
+    def must_not_open():
+        raise AssertionError("a pipe was opened for a refused run")
+
+    monkeypatch.setattr(runtime.os, "pipe", must_not_open)
+
+
+@pytest.mark.usefixtures("no_pipes")
+@pytest.mark.parametrize("mode", ["seq", "sched", "conc"])
+def test_every_engine_refuses_a_budget_below_one(mode):
+    cfg = kernel("fib")
+    prog = obfuscate(cfg, 2, seed=1)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=f"^budget must be >= 1, got {budget}$"):
+            if mode == "seq":
+                run_sequential(cfg, budget=budget)
+            else:
+                run_obfuscated(prog, budget=budget, concurrent=mode == "conc")
+
+
+@pytest.mark.usefixtures("no_pipes")
+def test_concurrent_run_refuses_a_schedule_seed():
+    with pytest.raises(ValueError, match="concurrent run takes no schedule seed"):
+        run_obfuscated(obfuscate(kernel("fib"), 2, seed=1), seed=0, concurrent=True)
 
 
 def test_trace_json_shape():

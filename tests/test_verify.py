@@ -76,7 +76,7 @@ def _random_runs(graphs: int, cap: int = 200):
     r = rng.Rng(2024)
     for _ in range(graphs):
         cfg = random_cfg(r)
-        yield cfg, run_sequential(cfg, max_steps=cap)
+        yield cfg, run_sequential(cfg, budget=cap)
 
 
 def test_random_cfg_branches_take_both_arms():
