@@ -210,19 +210,22 @@ def cmd_count(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threadsplit",
+        allow_abbrev=False,
         description="Split a control-flow graph across cooperating threads "
                     "guarded by per-block flags, preserving sequential semantics.",
     )
+    # Sub-parsers do not inherit allow_abbrev: each refuses option prefixes itself.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("obfuscate", help="partition a program and write the artifact")
+    p = sub.add_parser("obfuscate", allow_abbrev=False,
+                       help="partition a program and write the artifact")
     p.add_argument("-i", "--input", required=True, help="source .cfg file")
     p.add_argument("-m", type=int, default=4, help="number of threads (default 4)")
     p.add_argument("--seed", type=int, default=0, help="partition seed (default 0)")
     p.add_argument("-o", "--out", help="output path (default: input with .obf suffix)")
     p.set_defaults(func=cmd_obfuscate)
 
-    p = sub.add_parser("run", help="execute a program")
+    p = sub.add_parser("run", allow_abbrev=False, help="execute a program")
     p.add_argument("-i", "--input", required=True, help="source .cfg file")
     p.add_argument("--obf", help="obfuscation artifact (required for sched/conc)")
     p.add_argument("--mode", choices=("seq", "sched", "conc"), default="seq")
@@ -238,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "once, also with exit 4")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("verify", help="differential verification sweep")
+    p = sub.add_parser("verify", allow_abbrev=False, help="differential verification sweep")
     p.add_argument("inputs", nargs="+", help="source .cfg files")
     p.add_argument("--m-values", default=",".join(map(str, VerifyConfig.m_values)))
     p.add_argument("--partition-seeds", type=int, default=VerifyConfig.partition_seeds)
@@ -250,13 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", help="write the full report as JSON")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("dot", help="render graphs in DOT format")
+    p = sub.add_parser("dot", allow_abbrev=False, help="render graphs in DOT format")
     p.add_argument("-i", "--input", required=True, help="source .cfg file")
     p.add_argument("--obf", help="also render each thread of this artifact")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_dot)
 
-    p = sub.add_parser("count", help="print the number of possible assignments")
+    p = sub.add_parser("count", allow_abbrev=False,
+                       help="print the number of possible assignments")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_count)

@@ -271,7 +271,8 @@ def _run_scheduled(prog, inputs, budget: int, seed: int | None) -> ExecutionTrac
     core = _Guards(prog, inputs, budget)
     flags, done, waits, handoff, trace = core.flags, core.done, core.waits, core.handoff, core.trace
     live = list(range(prog.m))
-    chooser = None if seed is None else rng.Rng(seed)
+    # below(1) is always 0, so a seeded run at m=1 is the round-robin run.
+    chooser = None if seed is None or prog.m == 1 else rng.Rng(seed)
     pos = step = 0
 
     while live:

@@ -49,3 +49,16 @@ def test_benchmark_untraced_compile_large_is_correct():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the benchmark's concurrent runs need 2 cores")
+def test_benchmark_untraced_conc_handoff_is_correct():
+    # The other two workloads run above; this one's input-driven loop
+    # and its concurrent runs at m=2 are checked nowhere else in tier-1.
+    proc = run_child(str(RUN), "--workload", "conc-handoff", "--seed", "1",
+                     "--seconds", "0.001", "--trace", "0")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -200,6 +200,27 @@ def test_run_has_no_schedule_mode_option(capsys):
     assert "--schedule " not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["run", "-i", "{fib}", "--obf", "{obf}", "--mode", "sched", "--sched", "3", "--bud", "50"],
+     "--sched 3 --bud 50"),
+    (["verify", "{fib}", "--m", "2", "--part", "2", "--sched", "1", "--alg", "0"],
+     "--m 2 --part 2 --sched 1 --alg 0"),
+    (["obfuscate", "-i", "{fib}", "--se", "1", "-o", "{obf}"], "--se 1"),
+    (["dot", "-i", "{fib}", "--out", "{dir}"], "--out {dir}"),
+], ids=["run", "verify", "obfuscate", "dot"])
+def test_option_prefixes_are_refused(kernels, capsys, tmp_path, argv, unknown):
+    # argparse reads a prefix of an option as the option unless every
+    # parser, each sub-parser included, is built with allow_abbrev=False.
+    names = {"fib": kernels["fib"], "obf": str(tmp_path / "fib.obf"), "dir": str(tmp_path)}
+    main(["obfuscate", "-i", names["fib"], "-m", "2", "-o", names["obf"]])
+    capsys.readouterr()
+    assert main([a.format(**names) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"threadsplit: error: unrecognized arguments: {unknown.format(**names)}"]
+
+
 def test_run_conc_prints_timing_to_stderr(kernels, capsys, tmp_path):
     obf = str(tmp_path / "prime.obf")
     main(["obfuscate", "-i", kernels["prime"], "-m", "4", "-o", obf])

@@ -30,10 +30,35 @@ def _draws(r, ops):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, -987654321, 1234567])
 def test_stream_matches_one_output_at_a_time(seed):
     # Thousands of interleaved calls, in an order drawn from another
-    # stream, cross many chunk boundaries at every chunk size.
+    # stream, cross many chunk boundaries at every chunk size: first with
+    # every chunk computed, then with every chunk taken from the cache.
     chooser = ReferenceRng(seed ^ 0x5DEECE66D)
     ops = [chooser.below(len(BOUNDS) + 2) for _ in range(6000)]
-    assert _draws(rng.Rng(seed), ops) == _draws(ReferenceRng(seed), ops)
+    expected = _draws(ReferenceRng(seed), ops)
+    rng._chunk.cache_clear()
+    assert _draws(rng.Rng(seed), ops) == expected
+    assert _draws(rng.Rng(seed), ops) == expected
+
+
+def test_interleaved_generators_of_one_seed_draw_equal_streams():
+    # Both copy the same cached chunks; neither may draw from the other's.
+    a, b = rng.Rng(0), rng.Rng(0)
+    drawn_a, drawn_b = [], []
+    for _ in range(100):
+        drawn_a += [a.next_u64() for _ in range(7)]
+        drawn_b += [b.next_u64() for _ in range(5)]
+    ref = ReferenceRng(0)
+    assert drawn_a == [ref.next_u64() for _ in range(700)]
+    assert drawn_b == drawn_a[:500]
+
+
+def test_draws_never_change_a_cached_chunk():
+    state = 987654321
+    before = rng._chunk(state).tolist()
+    r = rng.Rng(state)
+    drawn = [r.next_u64() for _ in range(3 * len(before))]
+    assert drawn[:len(before)] == before[::-1]
+    assert rng._chunk(state).tolist() == before
 
 
 def test_below_two_to_the_64_is_the_raw_output():

@@ -294,6 +294,18 @@ def test_m1_replays_sequential_exactly():
         assert trace.flag_violations == 0
 
 
+def test_seeded_run_at_m1_is_the_round_robin_run(monkeypatch):
+    # below(1) is always 0, so a run at m=1 draws no schedule at all.
+    progs = [obfuscate(kernel(name), 1, seed=3) for name in ("fib", "evens", "prime")]
+    monkeypatch.setattr(rng, "Rng", None)  # building one would raise TypeError
+    for prog in progs:
+        rr = run_obfuscated(prog)
+        for seed in (0, 1, 7, 2**64 - 1):
+            trace = run_obfuscated(prog, seed=seed)
+            assert (trace.records, trace.output, trace.reason, trace.flag_violations) == (
+                rr.records, rr.output, rr.reason, rr.flag_violations), (prog.source.name, seed)
+
+
 def test_prime_m4_seed42_round_robin_matches_sequential():
     cfg = kernel("prime")
     ref = run_sequential(cfg)
