@@ -6,6 +6,14 @@ reproduce its output and dynamic block sequence exactly, run each block
 on the worker that owns it, with zero mutual-exclusion violations and a
 structurally valid partition.
 
+Equal runs are judged once. A scheduled run is fixed by the thread
+count, the assignment and the schedule seed, so a case whose run another
+case of the same sweep already made reuses that verdict and names that
+case (`CaseResult.reuses`). At m=1 every schedule seed gives the
+round-robin run: `_run_scheduled` builds no schedule generator there, and
+`test_seeded_run_at_m1_is_the_round_robin_run` guards that fact, which
+the verifier itself can no longer see. Every case keeps its own result.
+
 The wait-set computation gets its own independent oracle here: a plain
 node-at-a-time BFS (`oracle_first_inset_reachable`) that shares no code
 with the Tarjan pass it checks.
@@ -101,6 +109,8 @@ class VerifyConfig:
             raise ValueError("m_values must not be empty")
         for m in self.m_values:
             check_thread_count(m)
+        if len(set(self.m_values)) < len(self.m_values):
+            raise ValueError(f"m_values must not repeat, got {','.join(map(str, self.m_values))}")
         for name in ("partition_seeds", "schedule_seeds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -116,6 +126,7 @@ class CaseResult:
     detail: str = ""
     status: str = ""
     flag_violations: int = 0
+    reuses: str = ""  # the case whose run this one shares; empty if it ran
 
 
 @dataclass
@@ -135,8 +146,14 @@ class VerifyReport:
     def ok(self) -> bool:
         return self.failed == 0 and (self.alg1 is None or self.alg1.ok)
 
+    @property
+    def runs(self) -> int:
+        """Scheduled runs made: the run cases that reuse no other's."""
+        return sum(1 for c in self.cases if c.schedule != "structure" and not c.reuses)
+
     def summary(self) -> str:
-        lines = [f"equivalence cases: {self.passed} passed, {self.failed} failed"]
+        lines = [f"equivalence cases: {self.passed} passed, {self.failed} failed, "
+                 f"from {self.runs} scheduled runs"]
         for c in [c for c in self.cases if not c.ok][:20]:
             lines.append(
                 f"  FAIL {c.program} m={c.m} pseed={c.partition_seed} "
@@ -240,7 +257,11 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     Each run's budget is the reference's block count: a run that needs
     more has already diverged. Each program is built by `obfuscate`. The
     cfg is validated once, before the reference runs (`Cfg.problems` keeps
-    the result for every build); an invalid one raises ValueError."""
+    the result for every build); an invalid one raises ValueError.
+
+    A run is judged once per (m, assignment, effective seed), where the
+    effective seed is None at m=1, as in `_run_scheduled`: a later case
+    with the same key copies the verdict and names the case that ran."""
     config = config or VerifyConfig()
     name = name or cfg.name
     check_cfg(cfg)
@@ -250,19 +271,29 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     ref_blocks = ref.block_sequence()
     budget = len(ref_blocks)
     results: list[CaseResult] = []
+    ran: dict[tuple, CaseResult] = {}  # (m, assignment, effective seed) -> case that ran
     for m in config.m_values:
         for pseed in range(config.partition_seeds):
             prog = obfuscate(cfg, m, pseed)
             issues = check_bijection(prog)
             results.append(CaseResult(
                 name, m, pseed, "structure", not issues, "; ".join(issues)))
+            assignment = tuple(prog.partition.assign)
             for seed in (None, *range(config.schedule_seeds)):
                 label = "round-robin" if seed is None else f"random:{seed}"
-                trace = run_obfuscated(prog, inputs, budget=budget, seed=seed)
-                found = _differences(trace, ref, ref_blocks, prog.partition.assign)
-                results.append(CaseResult(name, m, pseed, label, not found,
-                                          found[0] if found else "",
-                                          trace.status, trace.flag_violations))
+                key = (m, assignment, None if m == 1 else seed)
+                first = ran.get(key)
+                if first is None:
+                    trace = run_obfuscated(prog, inputs, budget=budget, seed=seed)
+                    found = _differences(trace, ref, ref_blocks, prog.partition.assign)
+                    case = ran[key] = CaseResult(name, m, pseed, label, not found,
+                                                 found[0] if found else "",
+                                                 trace.status, trace.flag_violations)
+                else:
+                    case = CaseResult(name, m, pseed, label, first.ok, first.detail,
+                                      first.status, first.flag_violations,
+                                      f"m={m} pseed={first.partition_seed} sched={first.schedule}")
+                results.append(case)
     return VerifyReport(cases=results)
 
 

@@ -507,6 +507,13 @@ def test_verify_rejects_bad_m_values(kernels):
     assert main(["verify", kernels["evens"], "--m-values", "0,1"]) == 2
 
 
+def test_verify_refuses_a_repeated_m(kernels, capsys):
+    assert main(["verify", kernels["fib"], "--m-values", "2,2", "--alg1-trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: m_values must not repeat, got 2,2"]
+
+
 def test_verify_rejects_negative_alg1_trials(kernels, capsys):
     assert main(["verify", kernels["evens"], "--alg1-trials", "-1"]) == 2
     captured = capsys.readouterr()

@@ -1,6 +1,8 @@
 import hashlib
 import inspect
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -157,6 +159,22 @@ def test_partition_adjacent_blocks_independent(m):
         chi2 = sum((table[i][j] - expect[i][j]) ** 2 / expect[i][j]
                    for i in range(m) for j in range(m))
         assert chi2 < CHI2_999[m], (m, seed, chi2)
+
+
+# (m, n, seeds, chi-square quantile at p = 0.999 for m^n - 1 degrees of freedom)
+@pytest.mark.parametrize("m, n, seeds, critical", [
+    (3, 3, 2700, 54.05), (2, 4, 1600, 37.70), (4, 2, 1600, 37.70), (2, 6, 6400, 103.4)])
+def test_partition_draws_every_assignment_uniformly(m, n, seeds, critical):
+    # Goodness of fit over all m^n assignments of an n-block chain, one
+    # partition per seed 0..seeds-1, so the statistic is fixed. A bias
+    # in the joint draw that leaves each block's marginal and adjacent
+    # pairs uniform still shows here.
+    cfg = chain(n)
+    counts = Counter(tuple(partition_blocks(cfg, m, s).assign) for s in range(seeds))
+    expect = seeds / m ** n
+    chi2 = sum((counts[a] - expect) ** 2 / expect
+               for a in itertools.product(range(m), repeat=n))
+    assert chi2 < critical, (m, n, chi2)
 
 
 # Thread construction.

@@ -7,7 +7,7 @@ from helpers import chain, diamond, two_loop
 from threadsplit import ir, rng, verify
 from threadsplit.kernels import KERNELS, kernel_text
 from threadsplit.obfuscate import build_thread_cfg, obfuscate, partition_blocks, wait_set_query
-from threadsplit.runtime import COMPLETED, run_sequential
+from threadsplit.runtime import COMPLETED, run_obfuscated, run_sequential
 from threadsplit.textfmt import parse
 from threadsplit.verify import (
     Alg1Report,
@@ -178,6 +178,99 @@ def test_block_run_off_its_owner_fails_equivalence(monkeypatch):
         assert case.detail == "step 0: worker 0 ran block 0, owned by worker 1"
 
 
+def _unshared_sweep(cfg, config, build=obfuscate):
+    """The scheduled cases of `check_equivalence`, each judged on a run of
+    its own: (m, partition seed, schedule, ok, detail, status, flag
+    violations)."""
+    ref = run_sequential(cfg)
+    ref_blocks = ref.block_sequence()
+    cases = []
+    for m in config.m_values:
+        for pseed in range(config.partition_seeds):
+            prog = build(cfg, m, pseed)
+            for seed in (None, *range(config.schedule_seeds)):
+                trace = run_obfuscated(prog, budget=len(ref_blocks), seed=seed)
+                found = verify._differences(trace, ref, ref_blocks, prog.partition.assign)
+                cases.append((m, pseed, "round-robin" if seed is None else f"random:{seed}",
+                              not found, found[0] if found else "",
+                              trace.status, trace.flag_violations))
+    return cases
+
+
+def _scheduled_cases(report):
+    return [(c.m, c.partition_seed, c.schedule, c.ok, c.detail, c.status, c.flag_violations)
+            for c in report.cases if c.schedule != "structure"]
+
+
+def _counted_runs(monkeypatch) -> list:
+    """Set `verify.run_obfuscated` to one that lists each run it makes."""
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[0])
+        return run_obfuscated(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "run_obfuscated", counted)
+    return made
+
+
+def test_each_distinct_run_is_made_once(monkeypatch):
+    cfg = parse(kernel_text("fib"))
+    made = _counted_runs(monkeypatch)
+    report = check_equivalence(cfg, VerifyConfig((1, 2, 3), 25, 10))
+    drawn = {m: {tuple(partition_blocks(cfg, m, s).assign) for s in range(25)} for m in (2, 3)}
+    assert (len(drawn[2]), len(drawn[3])) == (13, 21)
+    # Four assignments are drawn at both m=2 and m=3, but the programs
+    # differ in their worker count, so each m runs its own.
+    assert len(drawn[2] & drawn[3]) == 4
+    # At m=1 one run serves every partition seed and schedule.
+    assert len(made) == report.runs == 1 + (13 + 21) * 11
+    assert len(report.cases) == 3 * 25 * 12 and report.ok
+    assert {c.reuses for c in report.cases if c.m == 1 and c.schedule != "structure"} == {
+        "", "m=1 pseed=0 sched=round-robin"}
+    # Partition seeds 1 and 12 draw the same assignment at m=2.
+    shared = [c for c in report.cases if (c.m, c.partition_seed) == (2, 12)
+              and c.schedule != "structure"]
+    assert [c.reuses for c in shared] == [f"m=2 pseed=1 sched={c.schedule}" for c in shared]
+    assert report.summary().splitlines()[0] == (
+        f"equivalence cases: 900 passed, 0 failed, from {report.runs} scheduled runs")
+
+
+def test_shared_verdicts_equal_a_run_per_case():
+    kernels = VerifyConfig((1, 2, 3, 4), 6, 3)
+    for name in KERNELS:
+        cfg = parse(kernel_text(name))
+        assert _scheduled_cases(check_equivalence(cfg, kernels)) == _unshared_sweep(cfg, kernels)
+    small = VerifyConfig((1, 2, 3), 4, 2)
+    completed = [cfg for cfg, trace in _random_runs(120) if trace.status == COMPLETED][:50]
+    assert len(completed) == 50
+    reused_at_m2_or_more = 0
+    for cfg in completed:
+        report = check_equivalence(cfg, small)
+        assert _scheduled_cases(report) == _unshared_sweep(cfg, small)
+        reused_at_m2_or_more += sum(1 for c in report.cases if c.reuses and c.m > 1)
+    assert reused_at_m2_or_more > 0
+
+
+def test_a_fault_on_some_partition_seeds_fails_the_same_cases_when_shared(monkeypatch):
+    # fib at m=2: seeds 3 and 21 draw the same assignment, on which the
+    # foreign-block fault shows; most other seeds pass under it. The fault
+    # needs a block off worker 0, which some seeds do not draw.
+    def faulty(cfg, m, seed):
+        prog = obfuscate(cfg, m, seed)
+        return faults.with_fault(prog, faults.FOREIGN_BLOCK) if any(prog.partition.assign) else prog
+
+    cfg = parse(kernel_text("fib"))
+    config = VerifyConfig((2,), 25, 3)
+    want = _unshared_sweep(cfg, config, faulty)
+    monkeypatch.setattr(verify, "obfuscate", faulty)
+    report = check_equivalence(cfg, config)
+    assert _scheduled_cases(report) == want
+    failed = {(c.partition_seed, c.schedule): c.reuses for c in report.cases if not c.ok}
+    assert 0 < len({pseed for pseed, _ in failed}) < 25
+    assert failed[21, "round-robin"] == "m=2 pseed=3 sched=round-robin"
+
+
 def test_dropped_wait_list_member_is_detected():
     # On prime at m=3, seed 7, the run takes the dropped path.
     dropped = faults.DROPPED_MEMBER
@@ -204,6 +297,8 @@ def test_verify_config_validates_counts():
         VerifyConfig(partition_seeds=0)
     with pytest.raises(ValueError):
         VerifyConfig(schedule_seeds=0)
+    with pytest.raises(ValueError, match=r"^m_values must not repeat, got 1,2,1$"):
+        VerifyConfig(m_values=(1, 2, 1))
 
 
 def test_report_serialization_and_summary():
