@@ -2,23 +2,26 @@
 
 Values are 64-bit signed integers with wrapping (two's-complement)
 arithmetic. Division and modulo truncate toward zero, C style; a zero
-divisor is a defined runtime trap, handled by the runtime module.
+divisor raises `Trap`, which the runtime reports as a defined trap.
 
 A `Cfg` is immutable by convention once built: nothing in this package
-mutates one after construction, so it is safe to share across workers.
+mutates one after construction, so it is safe to share across workers,
+and so are the facts worked out from it on first use and kept on it
+(`Cfg.problems`, `Cfg.code`). A derived cfg, such as a
+`dataclasses.replace` of one, is a new object that works out its own.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 INT_BITS = 64
 INT_MIN = -(1 << 63)
 INT_MAX = (1 << 63) - 1
-
-BINARY_OPS = ("+", "-", "*", "/", "%", "<", "<=", "==", "!=")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -30,6 +33,43 @@ def wrap(value: int) -> int:
 
 def is_var_name(name: str) -> bool:
     return bool(_NAME_RE.match(name))
+
+
+class Trap(Exception):
+    """A defined runtime trap: division or modulo by zero."""
+
+
+def _div(a: int, b: int) -> int:
+    """Division truncating toward zero, C style."""
+    if b == 0:
+        raise Trap("division by zero")
+    # Floor division truncates when the quotient is not negative.
+    return a // b if (a < 0) == (b < 0) else -(-a // b)
+
+
+def _mod(a: int, b: int) -> int:
+    """Remainder with the sign of `a`, so that a == _div(a, b) * b + _mod(a, b)."""
+    if b == 0:
+        raise Trap("modulo by zero")
+    r = a % b  # has the sign of b
+    return r - b if r and (a < 0) != (b < 0) else r
+
+
+# Each op's exact result on two in-range values; the executor wraps it
+# into 64 bits.
+_OPS: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": _mod,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+}
+
+BINARY_OPS = tuple(_OPS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +145,64 @@ class Cfg:
         """`validate(self)`, worked out on first use and then kept: parsing,
         obfuscating and verifying one cfg check it once between them."""
         return tuple(validate(self))
+
+    @cached_property
+    def code(self) -> Code:
+        """`lower(self)`, worked out on first use and then kept: every run
+        of this cfg, in any engine, executes the one lowering."""
+        return lower(self)
+
+
+# A lowered block: (instrs, cond slot, iftrue, iffalse). Each instruction
+# is (op, dest slot, lhs slot or value, rhs slot): a binary op's function
+# with three slots, None for a constant (its value in the lhs place), or
+# False for a print (the printed slot in the lhs place). A jump has no
+# cond slot and its target as iftrue; a halt has neither.
+BlockCode = tuple[tuple[tuple, ...], int | None, int | None, int | None]
+
+
+class Code(NamedTuple):
+    """A cfg lowered for execution: `slots` numbers its variables, and
+    `blocks` holds each block's `BlockCode`, indexed by block id."""
+
+    slots: dict[str, int]
+    blocks: tuple[BlockCode, ...]
+
+
+def lower(cfg: Cfg) -> Code:
+    """Decode `cfg` once for the executor: number every variable it
+    mentions into a slot, in order of first mention, and turn each block
+    into a `BlockCode`. An instruction object that several blocks share
+    (the parser gives equal lines one object) is lowered once, and its
+    blocks share the tuple."""
+    slots: dict[str, int] = {}
+    done: dict[int, tuple] = {}  # id of each instruction object -> its tuple
+
+    def slot(name: str) -> int:
+        return slots.setdefault(name, len(slots))
+
+    blocks = []
+    for blk in cfg.blocks:
+        instrs = []
+        for instr in blk.instrs:
+            code = done.get(id(instr))
+            if code is None:
+                if isinstance(instr, BinOp):
+                    code = (_OPS[instr.op], slot(instr.dest), slot(instr.lhs), slot(instr.rhs))
+                elif isinstance(instr, ConstAssign):
+                    code = (None, slot(instr.dest), instr.value, None)
+                else:
+                    code = (False, None, slot(instr.src), None)
+                done[id(instr)] = code
+            instrs.append(code)
+        term = blk.term
+        if isinstance(term, Branch):
+            blocks.append((tuple(instrs), slot(term.cond), term.iftrue, term.iffalse))
+        elif isinstance(term, Jump):
+            blocks.append((tuple(instrs), None, term.target, None))
+        else:
+            blocks.append((tuple(instrs), None, None, None))
+    return Code(slots, tuple(blocks))
 
 
 def targets(term: Terminator) -> tuple[int, ...]:

@@ -1,7 +1,14 @@
 """Execution engines for original and obfuscated programs.
 
-Three modes share one block-execution core and one shared-store
-semantics (undefined variables read as 0):
+Three modes share one block executor, `_exec_block`, and one store
+semantics (undefined variables read as 0). The executor runs the cfg's
+lowering, `Cfg.code` (see `ir.lower`), not its instruction objects: it
+is worked out on the first run of a cfg and kept on that cfg object, so
+every later run of it, in any mode, decodes nothing. The lowering
+numbers the cfg's variables into slots, and a run's store is a list
+with one slot each, all 0 except those the inputs name; an input the
+cfg never mentions is dropped. A derived cfg is a new object with its
+own lowering.
 
 * `run_sequential` - the reference interpreter over the original cfg.
 * `run_obfuscated(.., concurrent=False)` - all workers advanced one
@@ -47,14 +54,13 @@ from __future__ import annotations
 
 import _thread
 import json
-import operator
 import os
 import sys
 import threading
 from dataclasses import dataclass, field
 
-from . import ir, rng
-from .ir import INT_MAX, INT_MIN, BinOp, Branch, Cfg, ConstAssign, Jump
+from . import rng
+from .ir import INT_MAX, INT_MIN, BlockCode, Cfg, Code, Trap, wrap
 from .obfuscate import ObfuscatedProgram
 
 COMPLETED = "completed"
@@ -95,61 +101,34 @@ class ExecutionTrace:
         return [block for _, _, block in self.records]
 
 
-class Trap(Exception):
-    pass
+def _new_store(code: Code, inputs: dict[str, int] | None) -> list[int]:
+    """A run's store: one slot per variable of the cfg, 0 unless an input
+    names it. An input the cfg never mentions has no slot and is dropped."""
+    slots = code.slots
+    store = [0] * len(slots)
+    for name, value in (inputs or {}).items():
+        if name in slots:
+            store[slots[name]] = value
+    return store
 
 
-def _div(a: int, b: int) -> int:
-    """Division truncating toward zero, C style."""
-    if b == 0:
-        raise Trap("division by zero")
-    # Floor division truncates when the quotient is not negative.
-    return a // b if (a < 0) == (b < 0) else -(-a // b)
-
-
-def _mod(a: int, b: int) -> int:
-    """Remainder with the sign of `a`, so that a == _div(a, b) * b + _mod(a, b)."""
-    if b == 0:
-        raise Trap("modulo by zero")
-    r = a % b  # has the sign of b
-    return r - b if r and (a < 0) != (b < 0) else r
-
-
-# Each op's exact result; `_exec_block` wraps it into 64 bits.
-_BINOPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "%": _mod,
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-}
-
-
-def _exec_block(blk, store: dict, output: list) -> int | None:
-    """Run a block's instructions and terminator; returns the dynamic
-    successor id, or None for halt. Prints emitted before a trap stay
-    in the output."""
-    get = store.get
-    for instr in blk.instrs:
-        t = type(instr)
-        if t is BinOp:
-            v = _BINOPS[instr.op](get(instr.lhs, 0), get(instr.rhs, 0))
-            store[instr.dest] = v if INT_MIN <= v <= INT_MAX else ir.wrap(v)
-        elif t is ConstAssign:
-            store[instr.dest] = instr.value
+def _exec_block(code: BlockCode, store: list[int], output: list[int]) -> int | None:
+    """Run a lowered block (see `ir.BlockCode`) against the store;
+    returns the dynamic successor id, or None for halt. Prints emitted
+    before a trap stay in the output."""
+    instrs, cond, iftrue, iffalse = code
+    for op, dest, a, b in instrs:
+        if op:
+            v = op(store[a], store[b])
+            store[dest] = v if INT_MIN <= v <= INT_MAX else wrap(v)
+        elif op is None:
+            store[dest] = a
         else:
-            output.append(get(instr.src, 0))
-    term = blk.term
-    t = type(term)
-    if t is Jump:
-        return term.target
-    if t is Branch:
-        return term.iftrue if get(term.cond, 0) != 0 else term.iffalse
-    return None
+            output.append(store[a])
+    # A jump or a halt has no cond slot; its successor is iftrue.
+    if cond is None or store[cond]:
+        return iftrue
+    return iffalse
 
 
 def run_sequential(cfg: Cfg, inputs: dict[str, int] | None = None,
@@ -157,9 +136,10 @@ def run_sequential(cfg: Cfg, inputs: dict[str, int] | None = None,
     """Reference semantics: execute from entry, following terminators.
     Status is "deadlock" if the budget runs out before halt."""
     _check_budget(budget)
-    store: dict[str, int] = dict(inputs or {})
+    code = cfg.code
+    store = _new_store(code, inputs)
     trace = ExecutionTrace()
-    blocks = cfg.blocks
+    blocks = code.blocks
     cur = cfg.entry
     for step in range(budget):
         trace.records.append((step, SEQ, cur))
@@ -207,7 +187,8 @@ class _Guards:
         self.waits = waits = list(entry_waits)
         self.trace = trace = ExecutionTrace()
         records, output = trace.records, trace.output
-        blocks, store = prog.source.blocks, dict(inputs or {})
+        code = prog.source.code
+        blocks, store = code.blocks, _new_store(code, inputs)
         owner = prog.partition.assign
         raised = 1  # data flags up
 

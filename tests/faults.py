@@ -13,7 +13,8 @@ a broken handoff or a broken wait list.
 * foreign-block, dropped-member: edits of `prog.wait_lists` (a cached
   property, so an instance assignment replaces it). Every wait list of
   worker 0 gains the lowest block it does not own, or loses its first
-  member.
+  member. A program in which worker 0 owns every block has no block to
+  add, and foreign-block refuses it with ValueError.
 """
 
 from contextlib import contextmanager
@@ -97,7 +98,10 @@ def with_fault(prog: ObfuscatedProgram, fault: str) -> ObfuscatedProgram:
         return ObfuscatedProgram(shifted(prog.source), prog.partition, prog.threads)
     owner = prog.partition.assign
     if fault == FOREIGN_BLOCK:
-        foreign = next(b for b, w in enumerate(owner) if w != 0)
+        foreign = next((b for b, w in enumerate(owner) if w != 0), None)
+        if foreign is None:
+            raise ValueError("foreign-block needs a block off worker 0, "
+                             "and worker 0 owns every block")
 
         def edit(ws):
             return tuple(sorted({*ws, foreign}))

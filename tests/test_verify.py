@@ -271,6 +271,14 @@ def test_a_fault_on_some_partition_seeds_fails_the_same_cases_when_shared(monkey
     assert failed[21, "round-robin"] == "m=2 pseed=3 sched=round-robin"
 
 
+def test_foreign_block_fault_refuses_a_program_all_on_worker_0():
+    # fib at m=2, partition seed 9, puts every block on worker 0.
+    prog = obfuscate(parse(kernel_text("fib")), 2, 9)
+    assert set(prog.partition.assign) == {0}
+    with pytest.raises(ValueError, match="worker 0 owns every block"):
+        faults.with_fault(prog, faults.FOREIGN_BLOCK)
+
+
 def test_dropped_wait_list_member_is_detected():
     # On prime at m=3, seed 7, the run takes the dropped path.
     dropped = faults.DROPPED_MEMBER
