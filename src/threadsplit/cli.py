@@ -124,6 +124,8 @@ def cmd_run(args) -> int:
         raise CliError(f"bad --budget {args.budget}, expected >= 1")
     if args.schedule_seed is not None and args.mode != "sched":
         raise CliError(f"--schedule-seed applies to mode sched only, not {args.mode}")
+    if args.obf and args.mode == "seq":
+        raise CliError("--obf applies to modes sched and conc only, not seq")
     cfg = _load_cfg(args.input)
     inputs = _parse_defines(args.define)
     if args.mode == "seq":

@@ -1,31 +1,31 @@
 """The thread-splitting transformation.
 
-Takes a single-threaded CFG and a thread count m, assigns every basic
-block to one of m threads uniformly at random (so there are exactly m^n
-possible assignments for n blocks), and builds one guarded CFG per
-thread. Each thread spins in a Wait node until the flag of one of its
-blocks is raised, dispatches to that block through a Switch node,
-executes it, raises the flag of the block's dynamic successor (owned by
-whichever thread), and returns to waiting. A dedicated DONE flag, raised
-when the original exit block runs, releases every thread.
+A program is two facts about its source cfg: the assignment of its n
+blocks to m threads, drawn uniformly from a seeded stream (one of
+exactly m^n), and the wait list that follows each block. That list
+holds the blocks of the block's own thread reachable from it along
+paths whose intermediate blocks all lie outside the thread: the first
+of them that can run next. Each thread also has an entry wait, the same
+set computed from the program entry. `ObfuscatedProgram` holds the
+source, the assignment and these lists (`wait_lists`), which the
+runtime polls and the artifact stores. A thread waits until the flag of
+one of its waited blocks is up, runs that block, raises the flag of the
+block's dynamic successor, and waits on that block's list; a DONE flag,
+raised when the exit block runs, releases every thread.
+`ObfuscatedProgram.threads` draws this as one `ThreadCfg` per thread, a
+view of the lists made on first use.
 
-The wait set attached to a block b is the set of in-partition blocks
-reachable from b along paths whose intermediate blocks all lie outside
-the partition: the first blocks of this thread that can possibly run
-next. Thread entry nodes wait on the analogous set computed from the
-program entry.
-
-All of a thread's wait sets come from one pass (`wait_set_query`): an
+All of a thread's wait lists come from one pass (`wait_set_query`): an
 iterative Tarjan walk (Tarjan, SIAM J. Comput. 1972) over the blocks
-outside the partition gives each of them `reach`, the in-partition
-blocks it reaches first. A reach is an int used as a bitset over the
-thread's owned blocks: bit i stands for the i-th smallest of them, and
-an owned block's reach is its own bit. Blocks of one strongly connected
+outside the thread gives each of them `reach`, the thread's blocks it
+reaches first. A reach is an int used as a bitset over the thread's
+owned blocks: bit i stands for the i-th smallest of them, and an owned
+block's reach is its own bit. Blocks of one strongly connected
 component share their reach, and Tarjan closes a component only after
 every component it leads to, so each reach is one OR over finished
-successors. A block's wait set is the OR of its successors' reach, read
-back as the ascending tuple of those blocks; each distinct int is read
-once, so equal wait sets of a thread share one tuple. The entry wait
+successors. A block's wait list is the OR of its successors' reach,
+read back as the ascending tuple of those blocks; each distinct int is
+read once, so equal lists of a thread share one tuple. The entry wait
 applies the same rule to a virtual pre-entry node whose sole successor
 is the program entry.
 """
@@ -37,13 +37,14 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 from . import ir, rng
 from .ir import Cfg
 
 FORMAT_VERSION = 3
 
-MAX_THREADS = 1024  # a build makes a ThreadCfg, and a `conc` run an OS thread, per thread
+MAX_THREADS = 1024  # a build makes a wait-set pass, and a `conc` run an OS thread, per thread
 
 
 @dataclass
@@ -56,18 +57,25 @@ class Partition:
     seed: int
 
 
+def _owned_lists(partition: Partition) -> list[list[int]]:
+    """Each thread's blocks, ascending, from one pass over the assignment."""
+    owned: list[list[int]] = [[] for _ in range(partition.m)]
+    for b, t in enumerate(partition.assign):
+        owned[t].append(b)
+    return owned
+
+
 @dataclass(frozen=True)
 class WaitSet:
-    """Block flags one Wait node spins on, ascending: the order the runtime
-    polls them and the artifact stores them. Every wait also watches the
-    DONE flag, which is implicit and not part of `flags`."""
+    """Block flags one Wait node spins on, ascending. Every wait also
+    watches the DONE flag, which is implicit and not part of `flags`."""
 
     flags: tuple[int, ...]
 
 
 @dataclass
 class ThreadCfg:
-    """One generated thread: its owned blocks plus synthetic structure.
+    """One generated thread, as `ObfuscatedProgram.threads` draws it.
 
     Structure: Entry feeds the Wait node for `entry_wait`. Each distinct
     non-empty wait set gets one shared Wait+Switch pair; the Switch
@@ -93,24 +101,25 @@ class ThreadCfg:
 
 @dataclass
 class ObfuscatedProgram:
+    """`wait_lists` holds each thread's entry wait, then the wait after
+    each block, indexed by block id; each wait is ascending block ids."""
+
     source: Cfg
     partition: Partition
-    threads: list[ThreadCfg]
+    wait_lists: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
     @property
     def m(self) -> int:
         return self.partition.m
 
     @cached_property
-    def wait_lists(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The `WaitSet.flags` the runtime polls: each thread's entry wait,
-        and the wait that follows each block, indexed by block id. Gathered
-        on first use and kept for the program's lifetime."""
-        after: list[tuple[int, ...]] = [()] * self.source.n
-        for tcfg in self.threads:
-            for b, ws in tcfg.per_block_wait.items():
-                after[b] = ws.flags
-        return tuple(tcfg.entry_wait.flags for tcfg in self.threads), tuple(after)
+    def threads(self) -> list[ThreadCfg]:
+        """One ThreadCfg per thread, drawn from the assignment and
+        `wait_lists` on first use and kept for the program's lifetime."""
+        entry, after = self.wait_lists
+        return [ThreadCfg(t, frozenset(owned), WaitSet(entry[t]),
+                          {b: WaitSet(after[b]) for b in owned})
+                for t, owned in enumerate(_owned_lists(self.partition))]
 
 
 def partition_blocks(cfg: Cfg, m: int, seed: int) -> Partition:
@@ -236,16 +245,12 @@ def wait_set_query(succs, owned: list[int]) -> Callable[[Iterable[int]], tuple[i
     return first_in_set
 
 
-def build_thread_cfg(cfg: Cfg, partition: Partition, t: int, succs=None) -> ThreadCfg:
-    if not 0 <= t < partition.m:
-        raise ValueError(f"thread index {t} out of range for m={partition.m}")
-    if succs is None:
-        succs = ir.successor_map(cfg)
-    owned = [b for b, ti in enumerate(partition.assign) if ti == t]
+def build_thread_cfg(cfg: Cfg, owned: list[int], succs) -> tuple[tuple[int, ...], list]:
+    """The wait lists of the thread that owns the blocks `owned`,
+    ascending: its entry wait, and the wait after each owned block, in
+    `owned` order. `succs` is ir.successor_map(cfg)."""
     first_owned = wait_set_query(succs, owned)
-    entry_wait = WaitSet(first_owned((cfg.entry,)))
-    per_block = {b: WaitSet(first_owned(succs[b])) for b in owned}
-    return ThreadCfg(t, frozenset(owned), entry_wait, per_block)
+    return first_owned((cfg.entry,)), [first_owned(succs[b]) for b in owned]
 
 
 def check_thread_count(m: int) -> None:
@@ -259,16 +264,43 @@ def check_cfg(cfg: Cfg) -> None:
         raise ValueError(f"invalid cfg {cfg.name!r}: " + "; ".join(errors))
 
 
+def build_program(cfg: Cfg, partition: Partition, stored: list | None = None) -> ObfuscatedProgram:
+    """The program of `partition` over the valid `cfg`, whose `assign`
+    holds a thread in 0..m-1 for each block (`check_bijection`): one
+    `build_thread_cfg` per thread. `stored`, when given, is the thread
+    list of a program file; each stored thread must equal its build,
+    checked before the next thread is built, or ValueError is raised."""
+    succs = ir.successor_map(cfg)
+    owns_0_or_1 = partition.assign[:2]
+    entry, after = [], [()] * cfg.n
+    for t, owned in enumerate(_owned_lists(partition)):
+        first, waits = build_thread_cfg(cfg, owned, succs)
+        if stored is not None:
+            thread = stored[t]
+            same = thread == {"entry_wait": list(first),
+                              "per_block_wait": dict(zip(map(str, owned), map(list, waits)))}
+            if same and t in owns_0_or_1:
+                # Equal lists can still hold true or false for block 1 or 0,
+                # and then only among the first two members of a list.
+                lists = [thread["entry_wait"], *thread["per_block_wait"].values()]
+                heads = chain.from_iterable(map(itemgetter(slice(2)), lists))
+                same = bool not in set(map(type, heads))
+            if not same:
+                raise ValueError(f"thread {t} in program file does not match the "
+                                 f"given cfg (stale or edited file?)")
+        entry.append(first)
+        for b, ws in zip(owned, waits):
+            after[b] = ws
+    return ObfuscatedProgram(cfg, partition, (tuple(entry), tuple(after)))
+
+
 def obfuscate(cfg: Cfg, m: int, seed: int) -> ObfuscatedProgram:
-    """Partition the blocks and build all m thread CFGs. Pure function of
-    its arguments. An invalid cfg, or an m outside 1..MAX_THREADS, raises
-    ValueError."""
+    """Partition the blocks and build every thread's wait lists. Pure
+    function of its arguments. An invalid cfg, or an m outside
+    1..MAX_THREADS, raises ValueError."""
     check_cfg(cfg)
     check_thread_count(m)
-    partition = partition_blocks(cfg, m, seed)
-    succs = ir.successor_map(cfg)
-    threads = [build_thread_cfg(cfg, partition, t, succs) for t in range(m)]
-    return ObfuscatedProgram(cfg, partition, threads)
+    return build_program(cfg, partition_blocks(cfg, m, seed))
 
 
 def count_combinations(m: int, n: int) -> int:
@@ -281,54 +313,19 @@ def count_combinations(m: int, n: int) -> int:
 
 
 def check_bijection(prog: ObfuscatedProgram) -> list[str]:
-    """Independent structural check that the threads' owned sets form a
-    partition of all block ids: each id in exactly one owned set."""
-    errors = []
-    counts = {b: 0 for b in range(prog.source.n)}
-    for tcfg in prog.threads:
-        for b in tcfg.owned_blocks:
-            if b not in counts:
-                errors.append(f"thread {tcfg.thread_index} owns unknown block {b}")
-            else:
-                counts[b] += 1
-    for b, c in counts.items():
-        if c != 1:
-            errors.append(f"block {b} owned by {c} threads, expected exactly 1")
+    """Independent structural check that the assignment partitions all
+    block ids: one thread in 0..m-1 for each block."""
+    assign, n, m = prog.partition.assign, prog.source.n, prog.m
+    errors = [f"block {b} assigned to thread {t}, expected one in 0..{m - 1}"
+              for b, t in enumerate(assign) if not 0 <= t < m]
+    if len(assign) != n:
+        errors.append(f"{len(assign)} blocks assigned, expected {n}")
     return errors
-
-
-def _thread_doc(tcfg: ThreadCfg) -> dict:
-    return {
-        "entry_wait": tcfg.entry_wait.flags,
-        "per_block_wait": {str(b): ws.flags for b, ws in sorted(tcfg.per_block_wait.items())},
-    }
-
-
-_THREAD_KEYS = {"entry_wait", "per_block_wait"}
-_INT = frozenset({int})
-
-
-def _stored_matches(stored, tcfg: ThreadCfg) -> bool:
-    """Whether a thread read from a program file is `_thread_doc(tcfg)`:
-    the same keys, and lists of the same values, all of them ints (a
-    float or a bool that compares equal to one is refused). So the keys of
-    `per_block_wait` are exactly the blocks the assignment gives the thread."""
-    if not isinstance(stored, dict) or stored.keys() != _THREAD_KEYS:
-        return False
-    entry, waits = stored["entry_wait"], stored["per_block_wait"]
-    per_block = tcfg.per_block_wait
-    if (entry != list(tcfg.entry_wait.flags)
-            or not isinstance(waits, dict) or len(waits) != len(per_block)):
-        return False
-    for b, ws in per_block.items():
-        if waits.get(str(b)) != list(ws.flags):
-            return False
-    # A float or a bool that equals a block id passes the comparisons above.
-    return _INT.issuperset(map(type, chain(entry, *waits.values())))
 
 
 def program_to_json(prog: ObfuscatedProgram) -> str:
     """Stable, compact serialization of an obfuscated program."""
+    entry, after = prog.wait_lists
     doc = {
         "version": FORMAT_VERSION,
         "source_name": prog.source.name,
@@ -336,43 +333,51 @@ def program_to_json(prog: ObfuscatedProgram) -> str:
         "seed": prog.partition.seed,
         "prng": rng.ALGORITHM,
         "assign": prog.partition.assign,
-        "threads": [_thread_doc(tcfg) for tcfg in prog.threads],
+        "threads": [{"entry_wait": first, "per_block_wait": {str(b): after[b] for b in owned}}
+                    for first, owned in zip(entry, _owned_lists(prog.partition))],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _is_a(value, kind: type) -> bool:
-    # bool is an int subclass, but true/false is never a count or an id.
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _field(doc: dict, key: str, kind: type):
     if key not in doc:
         raise ValueError(f"program file has no {key!r} field")
     value = doc[key]
-    if not _is_a(value, kind):
+    # bool is an int subclass, but true/false is never a count or an id.
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"program file field {key!r} must be a {kind.__name__}, "
                          f"got {type(value).__name__}")
     return value
+
+
+def _refuse_float(text: str):
+    raise ValueError(f"program file holds the number {text}; every number in it is an int")
+
+
+# A float that equals a block id would pass the comparison of a stored thread.
+_DECODER = json.JSONDecoder(parse_float=_refuse_float, parse_constant=_refuse_float)
 
 
 def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     """Rebuild an ObfuscatedProgram against its source cfg.
 
     Checked in order, any failure raising ValueError: the cfg is valid,
-    as `obfuscate` checks it; a JSON object; `version` is FORMAT_VERSION
-    (older files are refused, not read); `source_name` matches the cfg;
-    `m` is an int in 1..MAX_THREADS; `assign` holds one thread in 0..m-1
-    per block of the cfg; `seed` is an int; `threads` holds m entries,
-    each equal to its thread rebuilt from the assignment, with every
-    block id an int. The stored assignment is authoritative (it
-    may have been hand-tuned): `seed` and `prng` only record how it was
-    drawn and are not checked against it; `prng` and unknown keys are not
-    read.
+    as `obfuscate` checks it; JSON with no float anywhere, not even
+    under a key that is not read (a number with a fraction or an
+    exponent, such as 1.0 or 1e0, NaN or Infinity); a JSON object;
+    `version` is FORMAT_VERSION (older files are refused, not read);
+    `source_name` matches the cfg; `m` is an int in 1..MAX_THREADS;
+    `assign` holds one thread in 0..m-1 per block of the cfg, each an
+    int, not true or false; `seed` is an int; `threads` holds m entries,
+    each equal to its thread rebuilt from the assignment, with no true or
+    false for a block id, checked in thread order up to the first that
+    differs. The stored assignment is authoritative (it may have been
+    hand-tuned): `seed` and `prng` only record how it was drawn and are
+    not checked against it; `prng` and unknown keys are not read.
     """
     check_cfg(cfg)
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ValueError(f"not a valid program file: {e}") from e
     if not isinstance(doc, dict):
@@ -387,21 +392,11 @@ def program_from_json(text: str, cfg: Cfg) -> ObfuscatedProgram:
     assign = _field(doc, "assign", list)
     if len(assign) != cfg.n:
         raise ValueError(f"program file assigns {len(assign)} blocks, cfg has {cfg.n}")
-    if not all(_is_a(t, int) and 0 <= t < m for t in assign):
+    # A valid cfg has a block, so `assign` is not empty.
+    if not ({int} >= set(map(type, assign)) and 0 <= min(assign) and max(assign) < m):
         raise ValueError("malformed block assignment")
     seed = _field(doc, "seed", int)
-    stored_threads = _field(doc, "threads", list)
-    if len(stored_threads) != m:
-        raise ValueError(f"program file has {len(stored_threads)} threads, expected m={m}")
-
-    partition = Partition(m=m, assign=assign, seed=seed)
-    succs = ir.successor_map(cfg)
-    threads = []
-    for t, stored in enumerate(stored_threads):
-        threads.append(build_thread_cfg(cfg, partition, t, succs))
-        if not _stored_matches(stored, threads[-1]):
-            raise ValueError(
-                f"thread {t} in program file does not match the "
-                f"given cfg (stale or edited file?)"
-            )
-    return ObfuscatedProgram(cfg, partition, threads)
+    stored = _field(doc, "threads", list)
+    if len(stored) != m:
+        raise ValueError(f"program file has {len(stored)} threads, expected m={m}")
+    return build_program(cfg, Partition(m=m, assign=assign, seed=seed), stored)

@@ -10,10 +10,9 @@ a broken handoff or a broken wait list.
   branch targets t are moved to (t + 1) % n, while its wait lists stay
   those of the real cfg, so each handoff raises the flag of the block
   after the dynamic successor.
-* foreign-block, dropped-member: edits of `prog.wait_lists` (a cached
-  property, so an instance assignment replaces it). Every wait list of
-  worker 0 gains the lowest block it does not own, or loses its first
-  member. A program in which worker 0 owns every block has no block to
+* foreign-block, dropped-member: edits of `prog.wait_lists`. Every
+  wait list of worker 0 gains the lowest block it does not own, or
+  loses its first member. A program in which worker 0 owns every block has no block to
   add, and foreign-block refuses it with ValueError.
 """
 
@@ -95,7 +94,7 @@ def with_fault(prog: ObfuscatedProgram, fault: str) -> ObfuscatedProgram:
     if fault in _DROPPED_WRITE:
         return prog
     if fault == WRONG_SUCCESSOR:
-        return ObfuscatedProgram(shifted(prog.source), prog.partition, prog.threads)
+        return ObfuscatedProgram(shifted(prog.source), prog.partition, prog.wait_lists)
     owner = prog.partition.assign
     if fault == FOREIGN_BLOCK:
         foreign = next((b for b, w in enumerate(owner) if w != 0), None)
@@ -111,12 +110,10 @@ def with_fault(prog: ObfuscatedProgram, fault: str) -> ObfuscatedProgram:
     else:
         raise ValueError(f"unknown fault {fault!r}")
     entry, after = prog.wait_lists
-    faulty = ObfuscatedProgram(prog.source, prog.partition, prog.threads)
-    faulty.wait_lists = (
+    return ObfuscatedProgram(prog.source, prog.partition, (
         (edit(entry[0]), *entry[1:]),
         tuple(edit(ws) if owner[b] == 0 else ws for b, ws in enumerate(after)),
-    )
-    return faulty
+    ))
 
 
 def run_with_fault(prog: ObfuscatedProgram, fault: str, inputs=None, *,

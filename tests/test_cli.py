@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from helpers import chain, run_child
 from threadsplit import cli, runtime
 from threadsplit.cli import build_parser, main
 from threadsplit.kernels import kernel_text
+from threadsplit.obfuscate import Partition, build_program, program_from_json, program_to_json
 from threadsplit.runtime import NO_FLAG, ExecutionTrace
 from threadsplit.textfmt import format_cfg
 from threadsplit.verify import VerifyConfig
@@ -194,6 +196,16 @@ def test_run_schedule_seed_needs_mode_sched(kernels, capsys, tmp_path, mode):
     assert captured.err == f"error: --schedule-seed applies to mode sched only, not {mode}\n"
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "seq"]])
+def test_run_obf_needs_mode_sched_or_conc(kernels, capsys, tmp_path, mode):
+    # Refused before the artifact is read: this one does not exist.
+    missing = str(tmp_path / "missing.obf")
+    assert main(["run", "-i", kernels["fib"], "--obf", missing, *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --obf applies to modes sched and conc only, not seq\n"
+
+
 def test_run_has_no_schedule_mode_option(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--help"])
@@ -254,7 +266,79 @@ def test_run_refuses_an_artifact_with_float_block_ids(kernels, capsys, tmp_path)
     obf.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["run", "-i", kernels["evens"], "--obf", str(obf), "--mode", "sched"]) == 2
-    assert "does not match" in capsys.readouterr().err
+    assert "every number in it is an int" in capsys.readouterr().err
+
+
+# Block 0 branches to itself or to block 1. At m=1 its wait list is
+# [0, 1]; with block 1 on thread 1 of 2, that thread's entry wait is [1].
+RETYPE = (
+    "func retype {\n"
+    "  block top:\n"
+    "    c = 0\n"
+    "    br c, top, last\n"
+    "  block last:\n"
+    "    print c\n"
+    "    halt\n"
+    "}\n"
+)
+RETYPE_ONE = (
+    '{"version":3,"source_name":"retype","m":1,"seed":0,"prng":"splitmix64","assign":[0,0],'
+    '"threads":[{"entry_wait":[0],"per_block_wait":{"0":[0,1],"1":[]}}]}\n'
+)
+
+
+@pytest.mark.parametrize("m, old, new, refusal", [
+    (1, '"0":[0,1]', '"0":[false,1]', "thread 0 in program file does not match"),
+    (2, '"entry_wait":[1]', '"entry_wait":[true]', "thread 1 in program file does not match"),
+    (1, '"0":[0,1]', '"0":[0,true]', "thread 0 in program file does not match"),
+    (1, '"0":[0,1]', '"0":[0,1e0]', "program file holds the number 1e0; "
+                                     "every number in it is an int"),
+    (1, '"assign":[0,0]', '"assign":[0,0.0]', "program file holds the number 0.0; "),
+    (1, '"assign":[0,0]', '"assign":[0,false]', "malformed block assignment"),
+    # Unknown keys are not read, but the parser refuses a float anywhere.
+    (1, '"prng":', '"note":1.5,"prng":', "program file holds the number 1.5; "),
+    (1, '"prng":', '"note":NaN,"prng":', "program file holds the number NaN; "),
+], ids=["false-for-0-at-0", "true-for-1-at-0", "true-for-1-at-1", "exponent-float",
+        "float-in-assign", "bool-in-assign", "float-under-unknown-key", "nan-under-unknown-key"])
+def test_an_artifact_with_a_retyped_number_is_refused(m, old, new, refusal, capsys, tmp_path):
+    src = tmp_path / "retype.cfg"
+    src.write_text(RETYPE)
+    cfg = cli._load_cfg(str(src))
+    text = program_to_json(build_program(cfg, Partition(m, [0, m - 1], seed=0)))
+    if m == 1:
+        assert text == RETYPE_ONE
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+        program_from_json(text, cfg)
+    obf = tmp_path / "retype.obf"
+    obf.write_text(text)
+    assert main(["run", "-i", str(src), "--obf", str(obf), "--mode", "sched"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {obf}: {refusal}") and err.count("\n") == 1
+
+
+# sha256 of the thread graphs that `dot --obf` writes for each bundled
+# kernel at m=3, partition seed 0, threads 0 to 2 in order. Taken when
+# each thread was still built as a ThreadCfg; the view of the wait lists
+# must draw the same graphs.
+DOT_DIGESTS = {
+    "evens": "02b00c064ca566b3dadcf974ce4ec59bc492ffd3270983966e2ddaa09cde027e",
+    "fib": "775ee482df4e747034f78d737ae50cc78ee80ff7eb73357e41c4ab4e54997681",
+    "prime": "a12801b6a1260a2c2402cfe12f4f4ae7527f30ce96ea56e1b5a474e673d2c4a1",
+}
+
+
+def test_dot_thread_graphs_are_pinned(kernels, tmp_path):
+    dots = tmp_path / "dots"
+    for name, digest in DOT_DIGESTS.items():
+        obf = str(tmp_path / f"{name}.obf")
+        assert main(["obfuscate", "-i", kernels[name], "-m", "3", "--seed", "0", "-o", obf]) == 0
+        assert main(["dot", "-i", kernels[name], "--obf", obf, "--out-dir", str(dots)]) == 0
+        text = "".join((dots / f"{name}.thread{t}.dot").read_text() for t in range(3))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+    assert not list(dots.glob("*.thread3.dot"))
 
 
 # `evens` at m=2, seed 0, as version 2 wrote it: with `n` and each

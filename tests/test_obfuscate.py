@@ -14,6 +14,7 @@ from threadsplit.obfuscate import (
     MAX_THREADS,
     Partition,
     WaitSet,
+    build_program,
     build_thread_cfg,
     check_bijection,
     count_combinations,
@@ -181,8 +182,7 @@ def test_partition_draws_every_assignment_uniformly(m, n, seeds, critical):
 
 def test_thread_cfg_empty_partition():
     cfg = chain(3)
-    part = Partition(2, [0, 0, 0], seed=0)
-    tcfg = build_thread_cfg(cfg, part, 1)
+    tcfg = build_program(cfg, Partition(2, [0, 0, 0], seed=0)).threads[1]
     assert tcfg.owned_blocks == frozenset()
     assert tcfg.entry_wait == WaitSet(())
     assert tcfg.per_block_wait == {}
@@ -194,28 +194,45 @@ def test_thread_cfg_wait_sets_keep_first_use_order():
     B, J = ir.Branch, ir.Jump
     terms = [B("c", 1, 2), J(3), J(3), B("c", 4, 5), J(6), J(6), B("c", 0, 7), ir.Halt()]
     cfg = ir.Cfg("fans", [ir.BasicBlock(i, f"b{i}", [], t) for i, t in enumerate(terms)])
-    part = Partition(2, [0, 1, 1, 0, 1, 1, 0, 0], seed=0)
-    arms = build_thread_cfg(cfg, part, 1)
+    joins, arms = build_program(cfg, Partition(2, [0, 1, 1, 0, 1, 1, 0, 0], seed=0)).threads
     # The entry wait comes back after blocks 4 and 5, and {4, 5} follows both 1 and 2.
     assert [ws.flags for ws in arms.per_block_wait.values()] == [(4, 5), (4, 5), (1, 2), (1, 2)]
     assert arms.wait_sets() == [WaitSet((1, 2)), WaitSet((4, 5))]
     # Block 7's empty wait gets no Wait node.
-    joins = build_thread_cfg(cfg, part, 0)
     assert [ws.flags for ws in joins.wait_sets()] == [(0,), (3,), (6,), (0, 7)]
 
 
 def test_thread_cfg_m1_chain_waits_on_direct_successors():
     cfg = chain(4)
-    part = partition_blocks(cfg, 1, 0)
-    tcfg = build_thread_cfg(cfg, part, 0)
+    (tcfg,) = obfuscate(cfg, 1, 0).threads
     for b in range(4):
         assert tcfg.per_block_wait[b].flags == tuple(sorted(ir.successor_map(cfg)[b]))
 
 
-def test_thread_cfg_rejects_bad_index():
-    part = partition_blocks(chain(2), 2, 0)
-    with pytest.raises(ValueError):
-        build_thread_cfg(chain(2), part, 2)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_thread_view_draws_the_wait_lists(m, monkeypatch):
+    def refused(*args):
+        raise AssertionError("the view rebuilt a thread")
+
+    for name in ("evens", "fib", "prime"):
+        cfg = parse(kernel_text(name))
+        prog = obfuscate(cfg, m, seed=5)
+        entry, after = prog.wait_lists
+        succs = ir.successor_map(cfg)
+        pre_entry = succs + [{cfg.entry}]
+        with monkeypatch.context() as mp:
+            mp.setattr(threadsplit.obfuscate, "build_thread_cfg", refused)
+            threads = prog.threads
+        assert [tcfg.thread_index for tcfg in threads] == list(range(m))
+        for t, tcfg in enumerate(threads):
+            owned = tcfg.owned_blocks
+            assert owned == {b for b, w in enumerate(prog.partition.assign) if w == t}
+            want = oracle_first_inset_reachable(cfg.n, owned, cfg, pre_entry)
+            assert tcfg.entry_wait.flags == entry[t] == tuple(sorted(want)), (name, t)
+            assert list(tcfg.per_block_wait) == sorted(owned)
+            for b in owned:
+                want = oracle_first_inset_reachable(b, owned, cfg, succs)
+                assert tcfg.per_block_wait[b].flags == after[b] == tuple(sorted(want)), (name, b)
 
 
 def test_obfuscate_prime_four_way_partitions_all_blocks():
@@ -245,11 +262,13 @@ def test_wait_sets_never_contain_foreign_blocks():
             assert set(ws.flags) <= tcfg.owned_blocks
 
 
-def test_check_bijection_flags_double_ownership():
+def test_check_bijection_flags_a_bad_assignment():
     prog = obfuscate(chain(4), 2, seed=3)
-    prog.threads[0].owned_blocks = frozenset(range(4))
-    prog.threads[1].owned_blocks = frozenset(range(4))
-    assert check_bijection(prog)
+    prog.partition.assign[1] = 2
+    assert check_bijection(prog) == ["block 1 assigned to thread 2, expected one in 0..1"]
+    prog.partition.assign[1:] = [-1]
+    assert check_bijection(prog) == ["block 1 assigned to thread -1, expected one in 0..1",
+                                     "2 blocks assigned, expected 4"]
 
 
 # Combination counting.
@@ -408,7 +427,7 @@ def test_program_json_refuses_an_edited_thread_after_building_it(monkeypatch):
     built = []
 
     def counted(*args):
-        built.append(args[2])
+        built.append(args[1])
         return build_thread_cfg(*args)
 
     # The package binds no names over its submodules.
@@ -416,7 +435,7 @@ def test_program_json_refuses_an_edited_thread_after_building_it(monkeypatch):
     monkeypatch.setattr(threadsplit.obfuscate, "build_thread_cfg", counted)
     with pytest.raises(ValueError, match="thread 0 in program file does not match"):
         program_from_json(json.dumps(doc), cfg)
-    assert built == [0]
+    assert built == [[b for b, t in enumerate(doc["assign"]) if t == 0]]
 
 
 def _id_lists(thread, field):
@@ -428,13 +447,15 @@ def _id_lists(thread, field):
 @pytest.mark.parametrize("retype", [float, bool])
 def test_program_json_refuses_retyped_block_ids(field, retype):
     # 1.0 == 1 and True == 1 in Python, so only the type tells them apart.
+    # No float gets past the JSON parser; a bool fails the thread's check.
     cfg = parse(kernel_text("evens"))
     doc = json.loads(program_to_json(obfuscate(cfg, 2, seed=0)))
     ids = next(ids for thread in doc["threads"] for ids in _id_lists(thread, field)
                if 0 in ids or 1 in ids)
     at = next(i for i, b in enumerate(ids) if b in (0, 1))
     ids[at] = retype(ids[at])
-    with pytest.raises(ValueError, match="does not match"):
+    refusal = "does not match" if retype is bool else "every number in it is an int"
+    with pytest.raises(ValueError, match=refusal):
         program_from_json(json.dumps(doc), cfg)
 
 
@@ -448,7 +469,7 @@ def test_program_json_refuses_a_float_block_id_in_every_thread(field):
         thread = doc["threads"][t]
         ids = next(ids for ids in _id_lists(thread, field) if ids)
         ids[-1] = float(ids[-1])
-        with pytest.raises(ValueError, match=f"thread {t} in program file does not match"):
+        with pytest.raises(ValueError, match=f"^program file holds the number {ids[-1]!r}; "):
             program_from_json(json.dumps(doc), cfg)
         owning_neither += t not in doc["assign"][:2]
     assert owning_neither >= 2

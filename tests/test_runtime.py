@@ -14,7 +14,7 @@ from helpers import chain, reference_binop, run_child
 from threadsplit import rng, runtime
 from threadsplit.ir import BINARY_OPS, INT_MAX, INT_MIN, BasicBlock, BinOp, Cfg, Halt, Print
 from threadsplit.kernels import KERNELS, kernel_text
-from threadsplit.obfuscate import Partition, WaitSet, build_thread_cfg, obfuscate
+from threadsplit.obfuscate import Partition, build_program, obfuscate
 from threadsplit.runtime import (
     BUDGET,
     COMPLETED,
@@ -22,7 +22,6 @@ from threadsplit.runtime import (
     NO_FLAG,
     TRAP,
     TRAPPED,
-    ObfuscatedProgram,
     Trap,
     run_obfuscated,
     run_sequential,
@@ -252,16 +251,18 @@ def test_budget_counts_executed_blocks_in_every_engine():
 NO_WAY_BACK = """
 import sys
 from threadsplit.kernels import kernel_text
-from threadsplit.obfuscate import WaitSet, obfuscate
+from threadsplit.obfuscate import obfuscate
 from threadsplit.runtime import run_obfuscated
 from threadsplit.textfmt import parse
 
 prog = obfuscate(parse(kernel_text("prime")), int(sys.argv[1]), 0)
-owner = prog.threads[prog.partition.assign[prog.source.entry]]
-for b in owner.per_block_wait:
-    owner.per_block_wait[b] = WaitSet(())
+entry, after = prog.wait_lists
+owner = prog.partition.assign
+stuck = owner[prog.source.entry]
+after = tuple(() if owner[b] == stuck else ws for b, ws in enumerate(after))
 if sys.argv[2:] == ["entry"]:
-    owner.entry_wait = WaitSet(())
+    entry = tuple(() if t == stuck else ws for t, ws in enumerate(entry))
+prog.wait_lists = entry, after
 for concurrent in (False, True):
     trace = run_obfuscated(prog, budget=10**12, concurrent=concurrent)
     print(trace.status, trace.reason, len(trace.records))
@@ -492,9 +493,7 @@ def test_guard_table_one_byte_per_block_plus_done():
 
 def test_empty_partition_worker_contributes_nothing():
     cfg = chain(3)
-    part = Partition(2, [0, 0, 0], seed=0)
-    threads = [build_thread_cfg(cfg, part, t) for t in range(2)]
-    prog = ObfuscatedProgram(cfg, part, threads)
+    prog = build_program(cfg, Partition(2, [0, 0, 0], seed=0))
     trace = run_obfuscated(prog)
     assert trace.status == COMPLETED
     assert all(worker == 0 for _, worker, _ in trace.records)
@@ -653,9 +652,10 @@ def no_way_back(m: int):
     """Prime at m with NO_WAY_BACK's fault: the entry block's owner waits
     on nothing after any of its blocks, so the run stops as no-flag."""
     prog = obfuscate(kernel("prime"), m, 0)
-    owner = prog.threads[prog.partition.assign[prog.source.entry]]
-    for b in owner.per_block_wait:
-        owner.per_block_wait[b] = WaitSet(())
+    entry, after = prog.wait_lists
+    owner = prog.partition.assign
+    stuck = owner[prog.source.entry]
+    prog.wait_lists = entry, tuple(() if owner[b] == stuck else ws for b, ws in enumerate(after))
     return prog
 
 
@@ -761,14 +761,15 @@ AFFINITY_BY_REASON = """
 import os
 os.sched_setaffinity(0, range(os.cpu_count()))  # the kernel keeps only the allowed CPUs
 from threadsplit.kernels import kernel_text
-from threadsplit.obfuscate import WaitSet, obfuscate
+from threadsplit.obfuscate import obfuscate
 from threadsplit.runtime import run_obfuscated
 from threadsplit.textfmt import parse
 
 stuck = obfuscate(parse(kernel_text("prime")), 3, 0)
-owner = stuck.threads[stuck.partition.assign[stuck.source.entry]]
-for b in owner.per_block_wait:
-    owner.per_block_wait[b] = WaitSet(())
+entry, after = stuck.wait_lists
+owner = stuck.partition.assign
+t = owner[stuck.source.entry]
+stuck.wait_lists = entry, tuple(() if owner[b] == t else ws for b, ws in enumerate(after))
 trap = parse("func f {\\n  block a:\\n    q = x / zero\\n    halt\\n}\\n")
 runs = [(obfuscate(parse(kernel_text("prime")), 3, 8), 10**6),
         (obfuscate(trap, 2, 1), 10**6),

@@ -5,7 +5,7 @@ from helpers import chain, diamond
 from threadsplit import ir
 from threadsplit.ir import BinOp, Branch, ConstAssign, Halt, Jump, Print
 from threadsplit.kernels import KERNELS, kernel_text
-from threadsplit.obfuscate import Partition, build_thread_cfg, obfuscate
+from threadsplit.obfuscate import Partition, build_program, obfuscate
 from threadsplit.textfmt import ParseError, emit_dot_cfg, emit_dot_thread, format_cfg, parse
 
 
@@ -200,8 +200,7 @@ def test_dot_cfg_branch_edges_annotated():
 
 def test_dot_thread_empty_partition_is_three_nodes():
     cfg = chain(2)
-    part = Partition(2, [0, 0], seed=0)
-    tcfg = build_thread_cfg(cfg, part, 1)
+    tcfg = build_program(cfg, Partition(2, [0, 0], seed=0)).threads[1]
     _, nodes, edges = parse_dot(emit_dot_thread(tcfg))
     assert set(nodes) == {"entry", "exit", "wait0"}
     assert ("entry", "wait0", "") in edges
@@ -210,8 +209,8 @@ def test_dot_thread_empty_partition_is_three_nodes():
 
 def test_dot_thread_single_block_partition_is_five_nodes():
     cfg = chain(3)
-    part = Partition(2, [1, 0, 0], seed=0)
-    tcfg = build_thread_cfg(cfg, part, 1)  # owns only the entry block
+    # Thread 1 owns only the entry block.
+    tcfg = build_program(cfg, Partition(2, [1, 0, 0], seed=0)).threads[1]
     _, nodes, _ = parse_dot(emit_dot_thread(tcfg))
     assert set(nodes) == {"entry", "exit", "wait0", "switch0", "b0"}
 

@@ -342,10 +342,10 @@ def test_build_thread_cfg_wait_sets_match_oracle():
             for pseed in range(5):
                 part = partition_blocks(cfg, m, pseed)
                 for t in range(m):
-                    tcfg = build_thread_cfg(cfg, part, t, succs)
-                    owned = tcfg.owned_blocks
+                    owned = [b for b, owner in enumerate(part.assign) if owner == t]
+                    entry_wait, waits = build_thread_cfg(cfg, owned, succs)
                     want = oracle_first_inset_reachable(cfg.n, owned, cfg, pre_entry)
-                    assert tcfg.entry_wait.flags == tuple(sorted(want))
-                    for b in owned:
+                    assert entry_wait == tuple(sorted(want))
+                    for b, ws in zip(owned, waits, strict=True):
                         want = oracle_first_inset_reachable(b, owned, cfg, succs)
-                        assert tcfg.per_block_wait[b].flags == tuple(sorted(want))
+                        assert ws == tuple(sorted(want))
