@@ -246,8 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", allow_abbrev=False, help="differential verification sweep")
     p.add_argument("inputs", nargs="+", help="source .cfg files")
     p.add_argument("--m-values", default=",".join(map(str, VerifyConfig.m_values)))
-    p.add_argument("--partition-seeds", type=int, default=VerifyConfig.partition_seeds)
-    p.add_argument("--schedule-seeds", type=int, default=VerifyConfig.schedule_seeds)
+    p.add_argument("--partition-seeds", type=int, default=VerifyConfig.partition_seeds,
+                   help="assignments to build for each thread count, from seeds 0..N-1 "
+                        f"(default {VerifyConfig.partition_seeds})")
+    p.add_argument("--schedule-seeds", type=int, default=VerifyConfig.schedule_seeds,
+                   help="random-schedule cases per assignment, from seeds 0..N-1 "
+                        f"(default {VerifyConfig.schedule_seeds}); they share the "
+                        "round-robin run of a program that passes its structure case")
     p.add_argument("--alg1-trials", type=int, default=100,
                    help="wait-set oracle trials to run alongside the sweep "
                         "(default 100; 0 skips them)")

@@ -30,11 +30,14 @@ is past any outputs still buffered.
 Chunks are memoized by the state they start from (`_chunk`, an LRU
 cache of 1024 chunks, about 0.5 MB). A chunk is a pure function of that
 state, so a cached one is exactly what would be computed. The verifier
-draws every program's partitions from the same few seeds and its random
-schedules from `Rng(0)`, `Rng(1)`, ..., so nearly every chunk it needs
-is a hit (97% over 20 rounds of the benchmark's verify-sweep). A hit is
-a copy, so its undrawn outputs cost almost nothing; a fresh seed, as in
-each compile-time partition, still pays for the outputs it never draws.
+draws every program's partitions from the same few seeds, and the random
+schedules it still runs (those of a program whose wait lists name other
+threads' blocks) from `Rng(0)`, `Rng(1)`, ..., so nearly every chunk it
+needs is a hit: 237 of 240 in the first 20 rounds of the benchmark's
+verify-sweep, 91% with each round's compile-time partition counted. A
+hit is a copy, so its undrawn outputs cost almost nothing; a fresh seed,
+as in each compile-time partition, still pays for the outputs it never
+draws.
 `Rng` pops only from its own copy, so no draw changes a cached chunk.
 """
 

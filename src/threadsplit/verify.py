@@ -9,10 +9,33 @@ structurally valid partition.
 Equal runs are judged once. A scheduled run is fixed by the thread
 count, the assignment and the schedule seed, so a case whose run another
 case of the same sweep already made reuses that verdict and names that
-case (`CaseResult.reuses`). At m=1 every schedule seed gives the
-round-robin run: `_run_scheduled` builds no schedule generator there, and
-`test_seeded_run_at_m1_is_the_round_robin_run` guards that fact, which
-the verifier itself can no longer see. Every case keeps its own result.
+case (`CaseResult.reuses`). Every case keeps its own result.
+
+A program needs only one scheduled run per (m, assignment), the
+round-robin one, when its `structure` case passes. That case checks
+premise (a): every wait list of thread t names only blocks that the
+assignment gives to t (`check_own_waits`). With (a), every schedule
+makes the round-robin run, up to step indices and vain polls:
+
+* only a handoff writes flags, after the entry raise: it clears the
+  flag it found and raises one successor, or DONE, so exactly one data
+  flag is up between handoffs (premise (b); a handoff that finds
+  another still up counts in `flag_violations`);
+* a poll changes no state (premise (c)), so a schedule decides only
+  which worker polls next, never what a poll finds;
+* by (a) only the owner of the raised flag waits on it, so at most one
+  worker can advance at any micro-step.
+
+So the blocks run, the worker of each, the output and how the run ends
+(completed, trap, budget or no-flag) do not depend on the schedule, and
+each `random:k` case of such a program shares the round-robin run. A
+handoff that breaks (b) is met under every schedule, round-robin
+included, and fails that run. What is still run for real: the
+round-robin run of each distinct (m, assignment), and every schedule
+of a program whose structure case fails. At m=1, (a) always holds.
+`test_every_schedule_makes_the_round_robin_run` checks the claim on
+runs that complete, trap, run out of budget, find no flag, or run a
+shifted cfg.
 
 The wait-set computation gets its own independent oracle here: a plain
 node-at-a-time BFS (`oracle_first_inset_reachable`) that shares no code
@@ -24,10 +47,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import ir, rng
 from .ir import BasicBlock, BinOp, Branch, Cfg, Halt, Jump
-from .obfuscate import check_bijection, check_cfg, check_thread_count, obfuscate, wait_set_query
+from .obfuscate import (ObfuscatedProgram, _owned_lists, check_bijection, check_cfg,
+                         check_thread_count, obfuscate, wait_set_query)
 from .runtime import COMPLETED, ExecutionTrace, run_obfuscated, run_sequential
 
 
@@ -248,6 +273,28 @@ def _differences(trace: ExecutionTrace, ref: ExecutionTrace, ref_blocks: list[in
     return found
 
 
+def check_own_waits(prog: ObfuscatedProgram) -> list[str]:
+    """Premise (a): every entry wait and every per-block wait of thread t
+    holds only blocks that `prog.partition.assign` gives to t. Empty when
+    it holds, else one line naming the first list that breaks it, in
+    thread order, each thread's entry wait before its blocks' waits.
+    Expects an assignment that `check_bijection` passes."""
+    assign = prog.partition.assign
+    entry, after = prog.wait_lists
+    for t, owned in enumerate(_owned_lists(prog.partition)):
+        members = set(entry[t])
+        members.update(chain.from_iterable(map(after.__getitem__, owned)))
+        if members.issubset(owned):
+            continue
+        own = set(owned)
+        lists = chain([("at entry", entry[t])], ((f"after block {b}", after[b]) for b in owned))
+        for at, ws in lists:
+            for x in ws:
+                if x not in own:
+                    return [f"thread {t} waits {at} on block {x} of thread {assign[x]}"]
+    return []
+
+
 def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
                       name: str | None = None,
                       inputs: dict[str, int] | None = None) -> VerifyReport:
@@ -259,9 +306,17 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     cfg is validated once, before the reference runs (`Cfg.problems` keeps
     the result for every build); an invalid one raises ValueError.
 
-    A run is judged once per (m, assignment, effective seed), where the
-    effective seed is None at m=1, as in `_run_scheduled`: a later case
-    with the same key copies the verdict and names the case that ran."""
+    The structure case passes when the assignment partitions the blocks
+    (`check_bijection`) and each wait list names only its own thread's
+    blocks (`check_own_waits`). Such a program runs once, round-robin,
+    per (m, assignment), and its random-schedule cases share that run:
+    only a handoff writes flags, exactly one data flag is up between
+    handoffs, a poll changes no state, and only the flag's owner waits
+    on it, so every schedule makes the same run (see the module
+    docstring). A program that fails its structure case runs every
+    schedule for real. A run is judged once per (m, assignment, seed,
+    or None for a program that passed): a later case with the same key
+    copies the verdict and names the case that ran."""
     config = config or VerifyConfig()
     name = name or cfg.name
     check_cfg(cfg)
@@ -275,13 +330,13 @@ def check_equivalence(cfg: Cfg, config: VerifyConfig | None = None,
     for m in config.m_values:
         for pseed in range(config.partition_seeds):
             prog = obfuscate(cfg, m, pseed)
-            issues = check_bijection(prog)
+            issues = check_bijection(prog) or check_own_waits(prog)
             results.append(CaseResult(
                 name, m, pseed, "structure", not issues, "; ".join(issues)))
             assignment = tuple(prog.partition.assign)
             for seed in (None, *range(config.schedule_seeds)):
                 label = "round-robin" if seed is None else f"random:{seed}"
-                key = (m, assignment, None if m == 1 else seed)
+                key = (m, assignment, seed if issues else None)
                 first = ran.get(key)
                 if first is None:
                     trace = run_obfuscated(prog, inputs, budget=budget, seed=seed)

@@ -13,7 +13,12 @@ a broken handoff or a broken wait list.
 * foreign-block, dropped-member: edits of `prog.wait_lists`. Every
   wait list of worker 0 gains the lowest block it does not own, or
   loses its first member. A program in which worker 0 owns every block has no block to
-  add, and foreign-block refuses it with ValueError.
+  add, and foreign-block refuses it with ValueError. The verifier's
+  structure case reports foreign-block statically, naming worker 0's
+  entry wait (`verify.check_own_waits`), and such a program then runs
+  every schedule. A dropped member keeps every list within its thread,
+  so its program passes the structure case and is caught, where a run
+  needs the member, by its one round-robin run.
 """
 
 from contextlib import contextmanager

@@ -6,8 +6,21 @@ import faults
 from helpers import chain, diamond, two_loop
 from threadsplit import ir, rng, verify
 from threadsplit.kernels import KERNELS, kernel_text
-from threadsplit.obfuscate import build_thread_cfg, obfuscate, partition_blocks, wait_set_query
-from threadsplit.runtime import COMPLETED, run_obfuscated, run_sequential
+from threadsplit.obfuscate import (
+    build_thread_cfg,
+    check_bijection,
+    obfuscate,
+    partition_blocks,
+    wait_set_query,
+)
+from threadsplit.runtime import (
+    BUDGET,
+    COMPLETED,
+    NO_FLAG,
+    TRAP,
+    run_obfuscated,
+    run_sequential,
+)
 from threadsplit.textfmt import parse
 from threadsplit.verify import (
     Alg1Report,
@@ -16,6 +29,7 @@ from threadsplit.verify import (
     VerifyReport,
     check_algorithm1,
     check_equivalence,
+    check_own_waits,
     oracle_first_inset_reachable,
     random_cfg,
     verify_files,
@@ -172,7 +186,8 @@ def test_block_run_off_its_owner_fails_equivalence(monkeypatch):
     config = VerifyConfig(m_values=(2,), partition_seeds=4, schedule_seeds=3)
     report = check_equivalence(parse(kernel_text("fib")), config)
     failed = {c.schedule: c for c in report.cases if c.partition_seed == 3 and not c.ok}
-    assert sorted(failed) == ["random:2", "round-robin"]
+    assert sorted(failed) == ["random:2", "round-robin", "structure"]
+    assert failed.pop("structure").detail == "thread 0 waits at entry on block 0 of thread 1"
     for case in failed.values():
         assert (case.status, case.flag_violations) == (COMPLETED, 0)
         assert case.detail == "step 0: worker 0 ran block 0, owned by worker 1"
@@ -223,15 +238,16 @@ def test_each_distinct_run_is_made_once(monkeypatch):
     # Four assignments are drawn at both m=2 and m=3, but the programs
     # differ in their worker count, so each m runs its own.
     assert len(drawn[2] & drawn[3]) == 4
-    # At m=1 one run serves every partition seed and schedule.
-    assert len(made) == report.runs == 1 + (13 + 21) * 11
+    # At m=1 one run serves every partition seed and schedule; at m=2 and
+    # 3 one round-robin run serves every schedule of an assignment.
+    assert len(made) == report.runs == 1 + 13 + 21
     assert len(report.cases) == 3 * 25 * 12 and report.ok
     assert {c.reuses for c in report.cases if c.m == 1 and c.schedule != "structure"} == {
         "", "m=1 pseed=0 sched=round-robin"}
     # Partition seeds 1 and 12 draw the same assignment at m=2.
     shared = [c for c in report.cases if (c.m, c.partition_seed) == (2, 12)
               and c.schedule != "structure"]
-    assert [c.reuses for c in shared] == [f"m=2 pseed=1 sched={c.schedule}" for c in shared]
+    assert [c.reuses for c in shared] == ["m=2 pseed=1 sched=round-robin"] * 11
     assert report.summary().splitlines()[0] == (
         f"equivalence cases: 900 passed, 0 failed, from {report.runs} scheduled runs")
 
@@ -252,14 +268,129 @@ def test_shared_verdicts_equal_a_run_per_case():
     assert reused_at_m2_or_more > 0
 
 
+# Prints 3, 2, 1 and 0, then divides by zero.
+_TRAPS_AFTER_PRINTS = """\
+func countdown {
+  block entry:
+    i = 3
+    one = 1
+    six = 6
+    jump show
+  block show:
+    print i
+    jump divide
+  block divide:
+    q = six / i
+    i = i - one
+    t = q < one
+    br t, finish, show
+  block finish:
+    halt
+}
+"""
+
+
+def _unstepped(trace):
+    """What a schedule may not change in a run: its (worker, block)
+    records without the step index, output, stop reason, trap reason
+    and flag violations."""
+    return ([(w, b) for _, w, b in trace.records], trace.output, trace.reason,
+            trace.trap_reason, trace.flag_violations)
+
+
+def test_every_schedule_makes_the_round_robin_run():
+    # The fact behind sharing one run among all schedules of a program
+    # that passes its structure case, for every way a run can end: the
+    # kernels complete, run out of a halved budget, stop with no flag
+    # once a member is dropped, and go astray on a shifted cfg; the
+    # countdown traps after printing.
+    kernels = [parse(kernel_text(name)) for name in KERNELS]
+    countdown = parse(_TRAPS_AFTER_PRINTS)
+    runs = []  # (program, budget)
+    for m in (2, 3, 4):
+        for pseed in range(3):
+            for cfg in kernels:
+                prog = obfuscate(cfg, m, pseed)
+                full = len(run_sequential(cfg).records)
+                runs += [(prog, full), (prog, full // 2),
+                         (faults.with_fault(prog, faults.DROPPED_MEMBER), full),
+                         (faults.with_fault(prog, faults.WRONG_SUCCESSOR), full)]
+            runs.append((obfuscate(countdown, m, pseed), 100))
+    ends = set()
+    for prog, budget in runs:
+        assert check_bijection(prog) + check_own_waits(prog) == []
+        want = _unstepped(run_obfuscated(prog, budget=budget))
+        for seed in range(10):
+            got = _unstepped(run_obfuscated(prog, budget=budget, seed=seed))
+            assert got == want, (prog.source.name, prog.m, prog.partition.seed, budget, seed)
+        records, output, reason = want[:3]
+        ends.add((reason, bool(output), len({w for w, _ in records}) > 1))
+    assert {(reason, True, True) for reason in (COMPLETED, TRAP, BUDGET, NO_FLAG)} <= ends
+
+
+def _assignments(cfg, config) -> set:
+    """The distinct (m, assignment) pairs that `config` draws for `cfg`."""
+    return {(m, tuple(partition_blocks(cfg, m, s).assign))
+            for m in config.m_values for s in range(config.partition_seeds)}
+
+
+def _faulty_build(fault):
+    """`obfuscate` with `fault` applied, except to a program the foreign-
+    block fault refuses (worker 0 owns every block), which is built as is."""
+    def build(cfg, m, seed):
+        prog = obfuscate(cfg, m, seed)
+        if fault == faults.FOREIGN_BLOCK and not any(prog.partition.assign):
+            return prog
+        return faults.with_fault(prog, fault)
+    return build
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_a_program_with_a_foreign_block_runs_every_schedule(name, monkeypatch):
+    cfg = parse(kernel_text(name))
+    config = VerifyConfig((2, 3, 4), 5, 3)
+    monkeypatch.setattr(verify, "obfuscate", _faulty_build(faults.FOREIGN_BLOCK))
+    made = _counted_runs(monkeypatch)
+    report = check_equivalence(cfg, config)
+    drawn = _assignments(cfg, config)
+    faulty = {key for key in drawn if any(key[1])}
+    assert {m for m, _ in faulty} == set(config.m_values)
+    # A faulty program runs the round-robin and each seeded schedule, a
+    # correct one the round-robin schedule only.
+    assert len(made) == report.runs == len(drawn) + 3 * len(faulty)
+    for case in report.cases:
+        assign = partition_blocks(cfg, case.m, case.partition_seed).assign
+        if not any(assign):
+            continue
+        if case.schedule == "structure":
+            foreign = next(b for b, w in enumerate(assign) if w)
+            assert case.detail == (f"thread 0 waits at entry on block {foreign} "
+                                   f"of thread {assign[foreign]}")
+        elif case.reuses:
+            assert case.reuses.endswith(f"sched={case.schedule}")
+
+
+def test_a_program_with_a_dropped_member_passes_its_structure_case_and_shares_its_runs(
+        monkeypatch):
+    cfg = parse(kernel_text("prime"))
+    config = VerifyConfig((2, 3, 4), 5, 3)
+    monkeypatch.setattr(verify, "obfuscate", _faulty_build(faults.DROPPED_MEMBER))
+    made = _counted_runs(monkeypatch)
+    report = check_equivalence(cfg, config)
+    drawn = _assignments(cfg, config)
+    assert all(c.ok for c in report.cases if c.schedule == "structure")
+    assert len(made) == report.runs == len(drawn)
+    assert all(c.reuses.endswith("sched=round-robin")
+               for c in report.cases if c.schedule.startswith("random:"))
+    # The runs still catch the dropped member where a run needs it.
+    assert any(c.status == "deadlock" for c in report.cases)
+
+
 def test_a_fault_on_some_partition_seeds_fails_the_same_cases_when_shared(monkeypatch):
     # fib at m=2: seeds 3 and 21 draw the same assignment, on which the
     # foreign-block fault shows; most other seeds pass under it. The fault
     # needs a block off worker 0, which some seeds do not draw.
-    def faulty(cfg, m, seed):
-        prog = obfuscate(cfg, m, seed)
-        return faults.with_fault(prog, faults.FOREIGN_BLOCK) if any(prog.partition.assign) else prog
-
+    faulty = _faulty_build(faults.FOREIGN_BLOCK)
     cfg = parse(kernel_text("fib"))
     config = VerifyConfig((2,), 25, 3)
     want = _unshared_sweep(cfg, config, faulty)
